@@ -145,7 +145,6 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
         best.append(val)
 
     best_witness = list(range(n))  # 0-based: element i -> label best_witness[i]
-    best_sign = 1
     autos: list[tuple[int, ...]] = []
     auto_set: set[tuple[int, ...]] = set()
     odd = False
@@ -153,48 +152,23 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     order: list[int] = []
     used = [False] * n
 
-    def sign_of_order() -> int:
-        # Parity of the labeling sending order[i] to label i.
-        seen = [False] * n
-        lab = [0] * n
-        for i, e in enumerate(order):
-            lab[e] = i
-        s = 1
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            ln = 0
-            while not seen[j]:
-                seen[j] = True
-                j = lab[j]
-                ln += 1
-            if ln % 2 == 0:
-                s = -s
-        return s
-
     def dfs(depth: int, improved_edge: bool) -> None:
-        nonlocal best_witness, best_sign, odd
+        nonlocal best_witness, odd
         if depth == n:
-            sigma = [0] * n
-            for i, e in enumerate(order):
-                sigma[e] = i
             if improved_edge:
-                best_witness = sigma
-                best_sign = sign_of_order()
+                best_witness = [0] * n
+                for i, e in enumerate(order):
+                    best_witness[e] = i
             else:
                 # order achieves the same maximum as best_witness: the
                 # discrepancy is an automorphism of the input.
-                inv = [0] * n
-                for e in range(n):
-                    inv[sigma[e]] = e
-                psi = tuple(inv[best_witness[e]] for e in range(n))
-                s = sign_of_order()
-                if s != best_sign:
-                    odd = True
+                psi = tuple(order[best_witness[e]] for e in range(n))
                 if psi != tuple(range(n)) and psi not in auto_set:
                     auto_set.add(psi)
                     autos.append(psi)
+                    # The group has an odd element iff a generator is odd.
+                    if perm_sign(tuple(v + 1 for v in psi)) < 0:
+                        odd = True
             return
 
         combos = combos_by_depth[depth]

@@ -162,8 +162,15 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
+# Suites that check the whole algebra, so they have no subcomplex to restrict to.
+_SPECLESS_SUITES = ("hopf", "homotopy", "freealg")
+
+
 def cmd_verify(args) -> int:
     spec = ComplexSpec.parse(args.spec)
+    if args.suite in _SPECLESS_SUITES and spec != complexes.ALL:
+        raise InvalidSpec(f"verify --suite {args.suite} covers all matroids; "
+                          f"it takes no --spec {args.spec!r}")
     source = _get_source(args)
     max_n = args.max_n
     K = DifferentialKind

@@ -1,9 +1,11 @@
 """Isomorph-free generation of small matroids and census-file ingestion.
 
-Two generation routes are kept deliberately independent so they can check
-each other: a direct backtracking search over basis families (used through
-n=6) and single-element extensions of the previous degree (the only viable
-route at n=7, where direct search would face 2^35 candidate families).
+Production enumeration grows degree n from degree n-1 by single-element
+extension.  Every matroid on [n] is an extension of its deletion of element
+n, so the children of all classes on [n-1] cover every class on [n].  Only
+the first child of each orbit under the parent's automorphism generators is
+canonically labelled; the rest are isomorphic to it.  A direct backtracking
+search over basis families is kept as an independent oracle for n <= 6.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import os
 from functools import lru_cache
 from itertools import combinations
 
-from .canonical import canonical_key
+from .canonical import apply_perm_mask, automorphism_generators, canonical_key
 from .errors import (
     DegreeTooLarge,
     ExchangeViolation,
@@ -20,7 +22,14 @@ from .errors import (
     ParseError,
     SourceIncomplete,
 )
-from .matroid import MAX_ELEMENTS, Matroid, from_bases, from_f2_matrix
+from .matroid import (
+    EMPTY,
+    MAX_ELEMENTS,
+    Matroid,
+    _bit_positions,
+    from_bases,
+    from_f2_matrix,
+)
 
 ENUMERATION_LIMIT = 7
 
@@ -38,14 +47,6 @@ def _exchange_families(fixed: tuple[int, ...], cands: list[int], force_first: bo
     index_of = {c: i for i, c in enumerate(cands)}
     nc = len(cands)
 
-    def bit_positions(mask):
-        out = []
-        while mask:
-            b = mask & -mask
-            out.append(b.bit_length() - 1)
-            mask ^= b
-        return out
-
     def new_requirements(t: int, members, chosen_set):
         """Requirement masks created by adding cands[t]; None means dead."""
         tmask = cands[t]
@@ -53,11 +54,11 @@ def _exchange_families(fixed: tuple[int, ...], cands: list[int], force_first: bo
         for u in members:
             for pair_from, pair_to in ((u, tmask), (tmask, u)):
                 gain = pair_to & ~pair_from
-                for i in bit_positions(pair_from & ~pair_to):
+                for i in _bit_positions(pair_from & ~pair_to):
                     stripped = pair_from & ~(1 << i)
                     wit = 0
                     satisfied = False
-                    for j in bit_positions(gain):
+                    for j in _bit_positions(gain):
                         w = stripped | (1 << j)
                         if w in fixed_set or w in chosen_set or w == tmask:
                             satisfied = True
@@ -125,18 +126,20 @@ def _direct_search_rank(n: int, r: int):
     yield from _exchange_families((), cands, force_first=True)
 
 
+def _classes(keys) -> tuple[Matroid, ...]:
+    """One representative per distinct canonical key, in encoding order."""
+    return tuple(k.matroid() for k in sorted(set(keys), key=lambda k: k.encoding))
+
+
 def enumerate_direct(n: int) -> list[Matroid]:
     """Direct-search enumeration of isomorphism classes; the slow oracle."""
     if n == 0:
-        return [Matroid(0, 0, (0,))]
-    reps: dict = {}
-    for r in range(n + 1):
-        for fam in _direct_search_rank(n, r):
-            m = Matroid(n, r, fam)
-            key = canonical_key(m)
-            if key not in reps:
-                reps[key] = key.matroid()
-    return [reps[k] for k in sorted(reps, key=lambda k: k.encoding)]
+        return [EMPTY]
+    return list(_classes(
+        canonical_key(Matroid(n, r, fam))
+        for r in range(n + 1)
+        for fam in _direct_search_rank(n, r)
+    ))
 
 
 def extend_by_element(m: Matroid) -> list[Matroid]:
@@ -158,18 +161,57 @@ def extend_by_element(m: Matroid) -> list[Matroid]:
     return out
 
 
+def _orbit_representatives(parent: Matroid):
+    """Yield the first child of each orbit of extend_by_element(parent).
+
+    Orbits are taken under Aut(parent)'s generators, each extended to fix the
+    new element, so each maps an extension to an isomorphic one.  Pruning
+    needs only that every generator is an automorphism, not that they
+    generate the whole group.  A generator fixes the parent's bases setwise,
+    so it acts on a child through the bases containing the new element; the
+    coloop child is told apart by the size of those bases.
+    """
+    n = parent.n
+    ebit = 1 << n
+    children = extend_by_element(parent)
+    added = [frozenset(b for b in child.bases if b & ebit) for child in children]
+    masks = frozenset().union(*added)
+    images = [
+        {b: apply_perm_mask(b, g + (n + 1,)) for b in masks}
+        for g in automorphism_generators(parent)
+    ]
+    covered: set = set()
+    for child, fam in zip(children, added):
+        if fam in covered:
+            continue
+        covered.add(fam)
+        frontier = [fam]
+        while frontier:
+            member = frontier.pop()
+            for image_of in images:
+                image = frozenset(map(image_of.__getitem__, member))
+                if image not in covered:
+                    covered.add(image)
+                    frontier.append(image)
+        yield child
+
+
+def _extension_step(parents) -> tuple[Matroid, ...]:
+    """All classes on [n+1] from one representative of each class on [n]."""
+    return _classes(
+        canonical_key(child)
+        for parent in parents
+        for child in _orbit_representatives(parent)
+    )
+
+
 def enumerate_by_extension(n: int) -> list[Matroid]:
-    """Extension-route enumeration, growing from the empty matroid."""
-    reps = [Matroid(0, 0, (0,))]
+    """The extension route from the empty matroid, without enumerate_all's
+    cache or its n <= 7 limit."""
+    reps: tuple[Matroid, ...] = (EMPTY,)
     for _ in range(n):
-        seen: dict = {}
-        for parent in reps:
-            for child in extend_by_element(parent):
-                key = canonical_key(child)
-                if key not in seen:
-                    seen[key] = key.matroid()
-        reps = [seen[k] for k in sorted(seen, key=lambda k: k.encoding)]
-    return reps
+        reps = _extension_step(reps)
+    return list(reps)
 
 
 @lru_cache(maxsize=None)
@@ -177,15 +219,9 @@ def enumerate_all(n: int) -> tuple[Matroid, ...]:
     """One canonical representative per isomorphism class on [n], n <= 7."""
     if n < 0 or n > ENUMERATION_LIMIT:
         raise DegreeTooLarge(f"built-in enumeration stops at n={ENUMERATION_LIMIT}")
-    if n <= 6:
-        return tuple(enumerate_direct(n))
-    seen: dict = {}
-    for parent in enumerate_all(6):
-        for child in extend_by_element(parent):
-            key = canonical_key(child)
-            if key not in seen:
-                seen[key] = key.matroid()
-    return tuple(seen[k] for k in sorted(seen, key=lambda k: k.encoding))
+    if n == 0:
+        return (EMPTY,)
+    return _extension_step(enumerate_all(n - 1))
 
 
 # -- sources ----------------------------------------------------------------
@@ -250,14 +286,10 @@ class FileSource(MatroidSource):
 
 
 def _dedup_canonical(matroids) -> dict[int, tuple[Matroid, ...]]:
-    per_degree: dict[int, dict] = {}
+    keys_by_degree: dict[int, list] = {}
     for m in matroids:
-        key = canonical_key(m)
-        per_degree.setdefault(m.n, {})[key] = key.matroid()
-    return {
-        n: tuple(d[k] for k in sorted(d, key=lambda k: k.encoding))
-        for n, d in per_degree.items()
-    }
+        keys_by_degree.setdefault(m.n, []).append(canonical_key(m))
+    return {n: _classes(keys) for n, keys in keys_by_degree.items()}
 
 
 def _parse_directives(lines):

@@ -83,6 +83,17 @@ def test_verify_suites(capsys):
         assert out and all(line.startswith("PASS") for line in out.splitlines())
 
 
+def test_verify_rejects_spec_for_whole_algebra_suites(capsys):
+    for suite in ("hopf", "homotopy", "freealg"):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--spec", "simple", "--max-n", "3"
+        )
+        assert code == 2 and out == ""
+        assert "invalid request" in err and f"--suite {suite}" in err
+    code, _, _ = run(capsys, "verify", "--suite", "hopf", "--spec", "all", "--max-n", "3")
+    assert code == 0
+
+
 def test_enumerate_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "m4.mtrd"
     code, _, _ = run(capsys, "enumerate", "--n", "4", "--out", str(out_path))

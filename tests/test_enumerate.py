@@ -2,9 +2,11 @@
 
 import pytest
 
-from matroidc.canonical import canonical_key
+from matroidc.canonical import apply_perm_mask, automorphism_generators, canonical_key
 from matroidc.enumerate import (
     EnumeratorSource,
+    _extension_step,
+    _orbit_representatives,
     enumerate_all,
     enumerate_by_extension,
     enumerate_direct,
@@ -75,6 +77,39 @@ def test_extension_from_three_gives_all_four_element_classes():
         for child in extend_by_element(parent):
             seen.add(canonical_key(child))
     assert len(seen) == 17
+
+
+def test_counts_through_seven():
+    counts = [1, 2, 4, 8, 17, 38, 98, 306]
+    assert [len(enumerate_all(n)) for n in range(0, 8)] == counts
+
+
+def test_automorphism_generators_preserve_bases():
+    # orbit pruning is sound as long as every generator is an automorphism
+    for n in range(0, 8):
+        for m in enumerate_all(n):
+            bases = set(m.bases)
+            for g in automorphism_generators(m):
+                assert {apply_perm_mask(b, g) for b in m.bases} == bases, (m, g)
+
+
+def test_pruned_step_keeps_every_child_class():
+    for n in range(0, 6):
+        parents = enumerate_all(n)
+        every_child = {
+            canonical_key(child)
+            for parent in parents
+            for child in extend_by_element(parent)
+        }
+        assert {canonical_key(m) for m in _extension_step(parents)} == every_child
+
+
+def test_pruning_skips_isomorphic_children():
+    parent = uniform(2, 4)
+    children = extend_by_element(parent)
+    kept = list(_orbit_representatives(parent))
+    assert len(kept) < len(children)
+    assert {canonical_key(m) for m in kept} == {canonical_key(m) for m in children}
 
 
 def test_degree_limit():

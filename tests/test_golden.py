@@ -1,0 +1,73 @@
+"""Byte-for-byte regression pins on CLI output.
+
+The sha256 of each command's stdout (or its --out file, for `enumerate`) was
+recorded before extension enumeration gained orbit pruning.  These pins are
+regression references only: they say the output has not changed, not that it
+is right.  The other tests check the numbers themselves.  A change that means
+to alter an output must re-record its pin and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from matroidc.cli import main
+
+KINDS = ("del", "clp", "con", "lp", "del-tot", "con-tot")
+SPECS = ("simple", "loopless", "binary", "regular", "graphic", "cographic")
+
+GOLDEN = {
+    **{
+        ("enumerate", "--n", str(n)): digest
+        for n, digest in enumerate((
+            "0fb2f2d5faf1dad38876140c3c4d283fc5eb4aa85bcb9862a36ad7f39b53931e",
+            "81cefbd259fa2a9d0cf7661c9c75a3ab4ad99b7ecf7b92f74a10d81f7bb877a7",
+            "373140fbb5eb32e507f7d5d09581f0d3437cac2a312a45d3994098a98812c6d2",
+            "1d3225cdb2d53d534af5bddd23b63858af5b51043e4cafce4d17fd2cea542009",
+            "1f5892ffbc2142bf914102c3dc06934091a62766e191990b88d94b926b1056a7",
+            "38cb4ae3cf059f75fb3141d865b1fba31da2f4af663658c06845db45cd18c7e4",
+            "d564c0dfc429dfaf85a782796dced2b375522d5680452a89be17a90d32ed22a8",
+            "7f41bb1017594b5123515d5e803eef83934ed9452b907b68b58f868fb5eeacb5",
+        ))
+    },
+    ("dims", "--spec", "all", "--max-n", "7"):
+        "4ae61eec350b3558b2d818c7f8612f1f161042dfb8d64652993901bd2ca71cb1",
+    **{
+        ("homology", "--spec", "all", "--kind", kind, "--max-n", "7"): digest
+        for kind, digest in zip(KINDS, (
+            "ea61e30e79b5fb782182677c8c471015544049cddefa07397f3e06525cc19a3c",
+            "00e7a499385cba70fa1804df1d9faa38e4127a0b2447f8f33e48c493ad6976a8",
+            "7b53379f900ad79902e7f62ce9c73348dad180791a0625885aca856afca4f174",
+            "62401e30eeb7b645a9b2bcea1fe3817f5a7ba0e7d64497c0cee402f96956c53a",
+            "af2b38cefa6379c675da8ef788c2f34a8c62cbc985a8e7f662634d541e4a2b79",
+            "c984da102530e7550cf0608ab443b3d709dee3c55411fd5eff3d847032aeee13",
+        ))
+    },
+    **{
+        ("homology", "--spec", spec, "--kind", "del", "--max-n", "7"): digest
+        for spec, digest in zip(SPECS, (
+            "b1aa605f0095953bb559bd812112813af03127f4f8baa086bff6469990795a6c",
+            "3add36ee1c6451526498ab13d0702d5b62b7f55910b3c8cdd47163fb535c22ed",
+            "29320e4fb52827508b43b5d6df032880a74b715ab69265efd330ff85a44abb3e",
+            "14e362af2f996eb0c42729469f5d80d5d22c2d8742da7adcb3e26e0115520508",
+            "c94e12c6acb5a464a0b597b89c405b24d75c3ea92eaba7ce5cc094f9c345d922",
+            "b5a8785038466f449f9c82ed6b150749240b6bfa12a5d19a447b68d65c5664d2",
+        ))
+    },
+    ("export-matrix", "--kind", "del-tot", "--n", "7"):
+        "6c704cd673bc4237ae57c8243ba24bbe73ae05bc474108382587f9eb9af02883",
+    ("verify", "--suite", "hopf", "--max-n", "6"):
+        "6f1e6ad014c4ec117245ffc828dd67495d09bd3a1d560606bb3dc94e9000eadf",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_cli_output_is_unchanged(argv, capsys, tmp_path):
+    if argv[0] == "enumerate":
+        path = tmp_path / "out.mtrd"
+        assert main([*argv, "--out", str(path)]) == 0
+        data = path.read_bytes()
+    else:
+        assert main(list(argv)) == 0
+        data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[argv]
