@@ -10,7 +10,7 @@ from .canonical import (
     iso_witness,
     perm_sign,
 )
-from .classes import Bidegree, ClassVector, bidegree_of, normalize
+from .classes import ClassVector, normalize
 from .complexes import (
     ChainBasis,
     ComplexSpec,

@@ -8,25 +8,11 @@ is zero, so such keys never appear in a vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .canonical import CanonicalKey, canonical_form, perm_sign
-from .matroid import Matroid
-
-
-@dataclass(frozen=True)
-class Bidegree:
-    k: int  # nullity
-    r: int  # rank
-
-    @property
-    def total(self) -> int:
-        return self.k + self.r
-
-
-def bidegree_of(key: CanonicalKey) -> Bidegree:
-    return Bidegree(key.n - key.r, key.r)
+from .matroid import EMPTY, Matroid
 
 
 def normalize(m: Matroid) -> tuple[CanonicalKey, int] | None:
@@ -42,17 +28,29 @@ def normalize(m: Matroid) -> tuple[CanonicalKey, int] | None:
 
 
 class ClassVector:
-    """Immutable sparse rational linear combination of canonical keys."""
+    """Immutable sparse rational linear combination of canonical keys.
+
+    A key is a `CanonicalKey`, or a tuple of them for a term of a tensor
+    power (the coproduct lands in the tensor square).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[CanonicalKey, Fraction] | None = None):
+    def __init__(self, terms: dict | None = None):
         clean = {}
         if terms:
             for k, c in terms.items():
                 if c:
                     clean[k] = Fraction(c)
         self.terms = clean
+
+    @classmethod
+    def accumulate(cls, pairs) -> "ClassVector":
+        """Sum of coeff * key over (key, coeff) pairs; repeated keys add up."""
+        out: dict = {}
+        for k, c in pairs:
+            out[k] = out.get(k, 0) + c
+        return cls(out)
 
     @classmethod
     def of(cls, m: Matroid, coeff=1) -> "ClassVector":
@@ -64,24 +62,19 @@ class ClassVector:
 
     @classmethod
     def unit(cls) -> "ClassVector":
-        from .matroid import EMPTY
-
         return cls.of(EMPTY)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def add(self, other: "ClassVector") -> "ClassVector":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return ClassVector(out)
+        return ClassVector.accumulate(chain(self.terms.items(), other.terms.items()))
 
     def scale(self, c) -> "ClassVector":
         c = Fraction(c)
         return ClassVector({k: v * c for k, v in self.terms.items()})
 
-    def coefficient(self, key: CanonicalKey) -> Fraction:
+    def coefficient(self, key) -> Fraction:
         return self.terms.get(key, Fraction(0))
 
     def degrees(self) -> set[int]:
@@ -96,5 +89,12 @@ class ClassVector:
     def __repr__(self):
         if not self.terms:
             return "ClassVector(0)"
-        parts = [f"{c}*{k!r}" for k, c in sorted(self.terms.items(), key=lambda t: t[0].encoding)]
+        parts = [f"{c}*{k!r}" for k, c in sorted(self.terms.items(), key=_term_order)]
         return "ClassVector(" + " + ".join(parts) + ")"
+
+
+def _term_order(term) -> tuple[bytes, ...]:
+    key = term[0]
+    if isinstance(key, CanonicalKey):
+        return (key.encoding,)
+    return tuple(k.encoding for k in key)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from io import StringIO
 
 from . import complexes, hopf
@@ -43,7 +44,6 @@ def _add_common(p, kind=False, max_n=True):
     p.add_argument("--source", default=None, help="census file (MTRD or F2DB)")
     p.add_argument("--format", default="csv", choices=("csv", "json", "mm"))
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="force exact ranks")
     p.add_argument("--primes", type=int, default=3, help="modular prime count")
 
@@ -140,22 +140,9 @@ def cmd_homology(args) -> int:
             raise InvalidSpec(f"bad --bidegree {args.bidegree!r}, want 'n,r'")
         table = complexes.betti_at_bidegree(spec, kind, n, r, source, policy)
     else:
-        table = complexes.homology_table(
-            spec, kind, args.max_n, source, policy, threads=args.threads
-        )
+        table = complexes.homology_table(spec, kind, args.max_n, source, policy)
     if _table_format(args) == "json":
-        text = json.dumps(
-            [
-                {
-                    "spec": row.spec, "kind": row.kind, "n": row.n, "r": row.r,
-                    "dim": row.dim, "rank_out": row.rank_out,
-                    "rank_in": row.rank_in, "betti": row.betti,
-                    "certified": row.certified,
-                }
-                for row in table
-            ],
-            indent=0,
-        ) + "\n"
+        text = json.dumps([asdict(row) for row in table], indent=0) + "\n"
     else:
         text = table.to_csv()
     _emit(args, text)
@@ -241,7 +228,13 @@ def cmd_ingest_check(args) -> int:
     tags = ",".join(sorted(source.tags())) or "(none)"
     lines.append(f"property tags: {tags}")
     lines.append(f"total: {total} classes")
+    for ln, first, key in source.duplicates:
+        lines.append(f"duplicate: line {ln} repeats the class of line {first}: {key!r}")
     _emit(args, "\n".join(lines) + "\n")
+    if source.duplicates:
+        count = len(source.duplicates)
+        print(f"source error: {count} records repeat an earlier class", file=sys.stderr)
+        return EXIT_SOURCE
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ child back onto its canonical representative.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -202,21 +201,30 @@ def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
     return ChainBasis(n, tuple(keys))
 
 
+def _boundary_terms(kind: DifferentialKind, key: CanonicalKey):
+    """(child key, sign) for each surviving term of the differential of [key].
+
+    The sign is the interior-product sign of the removed element times the
+    relabeling sign onto the child's canonical representative.  A child key
+    may repeat; callers add the repeats up.
+    """
+    m = key.matroid()
+    for x, use_del in _qualifying_elements(kind, m):
+        child = m.delete(x) if use_del else m.contract(x)
+        nz = normalize(child)
+        if nz is None:
+            continue
+        ckey, s = nz
+        yield ckey, (s if x % 2 == 1 else -s)
+
+
 def apply_differential(kind: DifferentialKind, v: ClassVector) -> ClassVector:
     """The differential on the full complex, applied termwise."""
-    out: dict = {}
-    for key, coeff in v.terms.items():
-        m = key.matroid()
-        for x, use_del in _qualifying_elements(kind, m):
-            child = m.delete(x) if use_del else m.contract(x)
-            nz = normalize(child)
-            if nz is None:
-                continue
-            ckey, s = nz
-            sign = s if x % 2 == 1 else -s
-            c = out.get(ckey)
-            out[ckey] = (c or 0) + coeff * sign
-    return ClassVector(out)
+    return ClassVector.accumulate(
+        (ckey, coeff * sign)
+        for key, coeff in v.terms.items()
+        for ckey, sign in _boundary_terms(kind, key)
+    )
 
 
 def mu_sign(m: Matroid, x: int, target: CanonicalKey) -> int:
@@ -246,23 +254,12 @@ def differential_matrix(
     row_index = rows.index()
     entries: dict = {}
     for ci, key in enumerate(cols.keys):
-        m = key.matroid()
-        for x, use_del in _qualifying_elements(kind, m):
-            child = m.delete(x) if use_del else m.contract(x)
-            nz = normalize(child)
-            if nz is None:
-                continue
-            ckey, s = nz
+        for ckey, sign in _boundary_terms(kind, key):
             ri = row_index.get(ckey)
             if ri is None:
                 continue
-            sign = s if x % 2 == 1 else -s
             pos = (ri, ci)
-            val = entries.get(pos, 0) + sign
-            if val:
-                entries[pos] = val
-            else:
-                entries.pop(pos, None)
+            entries[pos] = entries.get(pos, 0) + sign
     return SparseIntMatrix(rows.dim, cols.dim, entries)
 
 
@@ -271,12 +268,15 @@ class Report:
     lines: list[str]
     ok: bool = True
 
-    def record(self, ok: bool, what: str, detail: str = "") -> None:
-        tag = "PASS" if ok else "FAIL"
-        suffix = f" {detail}" if detail else ""
-        self.lines.append(f"{tag} {what}{suffix}")
-        if not ok:
-            self.ok = False
+    def record(self, ok: bool, what: str, detail: str = "", witness=()) -> None:
+        """One PASS/FAIL line; a failure also names the witness keys."""
+        words = ["PASS" if ok else "FAIL", what]
+        if detail:
+            words.append(detail)
+        if not ok and witness:
+            words.append("witness=" + ",".join(repr(k) for k in witness))
+        self.lines.append(" ".join(words))
+        self.ok = self.ok and ok
 
     def extend(self, other: "Report") -> None:
         self.lines.extend(other.lines)
@@ -286,9 +286,11 @@ class Report:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
-def _witness_column(prod: SparseIntMatrix, basis: ChainBasis) -> str:
-    bad = min(j for (_, j) in prod.entries)
-    return f"witness={basis.keys[bad]!r}"
+def _witness_column(mat: SparseIntMatrix, basis: ChainBasis) -> CanonicalKey | None:
+    """Basis key of the first nonzero column, or None for a zero matrix."""
+    if mat.is_zero():
+        return None
+    return basis.keys[min(j for (_, j) in mat.entries)]
 
 
 def verify_square_zero(
@@ -299,10 +301,8 @@ def verify_square_zero(
         prod = differential_matrix(kind, n - 1, spec, source).compose(
             differential_matrix(kind, n, spec, source)
         )
-        detail = f"n={n}"
-        if not prod.is_zero():
-            detail += " " + _witness_column(prod, chain_basis(n, spec, source))
-        rep.record(prod.is_zero(), f"square-zero {kind.value}", detail)
+        bad = _witness_column(prod, chain_basis(n, spec, source))
+        rep.record(bad is None, f"square-zero {kind.value}", f"n={n}", (bad,))
     return rep
 
 
@@ -321,15 +321,9 @@ def verify_anticommute(
         ba = differential_matrix(kind_b, n - 1, spec, source).compose(
             differential_matrix(kind_a, n, spec, source)
         )
-        total = ab.add(ba)
-        detail = f"n={n}"
-        if not total.is_zero():
-            detail += " " + _witness_column(total, chain_basis(n, spec, source))
-        rep.record(
-            total.is_zero(),
-            f"anticommute {kind_a.value}/{kind_b.value}",
-            detail,
-        )
+        bad = _witness_column(ab.add(ba), chain_basis(n, spec, source))
+        what = f"anticommute {kind_a.value}/{kind_b.value}"
+        rep.record(bad is None, what, f"n={n}", (bad,))
     return rep
 
 
@@ -427,12 +421,13 @@ def homology_table(
     max_n: int,
     source,
     policy: RankPolicy | None = None,
-    threads: int = 0,
 ) -> BettiTable:
     """Betti numbers of the spec'd complex through degree max_n.
 
     H_n needs the incoming boundary from degree n+1; when the source stops
     at max_n the top row only carries an upper bound and is flagged so.
+    Every consecutive pair of matrices is checked for d∘d = 0 before it is
+    ranked; a failure raises SourceIncomplete naming a witness column.
     """
     policy = policy or RankPolicy()
     if not source.covers(max_n):
@@ -442,26 +437,26 @@ def homology_table(
 
     dims = {n: chain_basis(n, spec, source).dim for n in range(0, top + 1)}
     mats = {
-        n: differential_matrix(kind, n, spec, source) for n in range(1, top + 1)
+        n: differential_matrix(kind, n, spec, source) for n in range(0, top + 1)
     }
-
-    def ranked(n):
-        if n not in mats or mats[n].is_zero():
-            return n, (0, "exact")
-        return n, policy.rank(mats[n])
-
-    with ThreadPoolExecutor(max_workers=threads or None) as pool:
-        ranks = dict(pool.map(ranked, range(1, top + 1)))
-    ranks[0] = (0, "exact")
+    for n in range(1, top + 1):
+        prod = mats[n - 1].compose(mats[n])
+        bad = _witness_column(prod, chain_basis(n, spec, source))
+        if bad is not None:
+            raise SourceIncomplete(
+                f"d∘d != 0 for spec {spec.label()!r}, kind {kind.value}, "
+                f"n={n}: witness={bad!r}"
+            )
+    ranks = {
+        n: (0, "exact") if mat.is_zero() else policy.rank(mat)
+        for n, mat in mats.items()
+    }
 
     slice_rank = spec.slice[1] if spec.slice and spec.slice[0] == "rank" else None
     rows = []
     for n in range(0, max_n + 1):
         rank_out, lab_out = ranks[n]
-        if n + 1 <= top:
-            rank_in, lab_in = ranks[n + 1]
-        else:
-            rank_in, lab_in = None, None
+        rank_in, lab_in = ranks.get(n + 1, (None, None))
         betti = dims[n] - rank_out - (rank_in or 0)
         if rank_in is None:
             certified = "upper_bound"
@@ -470,8 +465,8 @@ def homology_table(
             if betti != 0 and certified != "exact":
                 # modular ranks only bound the exact ones from below; a
                 # nonzero betti is confirmed with exact arithmetic.
-                rank_out = rank_exact(mats[n]) if n in mats else 0
-                rank_in = rank_exact(mats[n + 1]) if n + 1 in mats else 0
+                rank_out = rank_exact(mats[n])
+                rank_in = rank_exact(mats[n + 1])
                 betti = dims[n] - rank_out - rank_in
                 certified = "exact"
         r_col = slice_rank

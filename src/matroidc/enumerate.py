@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .canonical import apply_perm_mask, automorphism_generators, canonical_key
+from .complexes import PROPERTY_TAGS
 from .errors import (
     DegreeTooLarge,
     ExchangeViolation,
@@ -261,15 +262,20 @@ class EnumeratorSource(MatroidSource):
 
 
 class FileSource(MatroidSource):
-    """Census file backend; coverage and property tags are declared in-file."""
+    """Census file backend; coverage and property tags are declared in-file.
 
-    def __init__(self, by_degree, coverage, tags, path=""):
+    `duplicates` lists the records dropped because an earlier record has the
+    same class, as (line, line of the earlier record, canonical key).
+    """
+
+    def __init__(self, by_degree, coverage, tags, path="", duplicates=()):
         self._by_degree = {
             n: tuple(ms) for n, ms in by_degree.items()
         }
         self._coverage = frozenset(coverage)
         self._tags = frozenset(tags)
         self.path = path
+        self.duplicates = tuple(duplicates)
 
     def covers(self, n: int) -> bool:
         return n in self._coverage
@@ -285,11 +291,43 @@ class FileSource(MatroidSource):
         return f"FileSource({self.path or '<mem>'}, degrees={cov})"
 
 
-def _dedup_canonical(matroids) -> dict[int, tuple[Matroid, ...]]:
+def _dedup_canonical(records):
+    """Classes per degree from (line, matroid) records, and the repeats.
+
+    A repeat is (line, first line, key): the record at `line` has the class
+    of the earlier record at `first line`.
+    """
+    first_line: dict = {}
+    duplicates = []
     keys_by_degree: dict[int, list] = {}
-    for m in matroids:
-        keys_by_degree.setdefault(m.n, []).append(canonical_key(m))
-    return {n: _classes(keys) for n, keys in keys_by_degree.items()}
+    for ln, m in records:
+        key = canonical_key(m)
+        if key in first_line:
+            duplicates.append((ln, first_line[key], key))
+            continue
+        first_line[key] = ln
+        keys_by_degree.setdefault(m.n, []).append(key)
+    by_degree = {n: _classes(keys) for n, keys in keys_by_degree.items()}
+    return by_degree, duplicates
+
+
+# Tags a census may declare: the property predicates, and the connected
+# quotient.
+_DECLARABLE_TAGS = frozenset(PROPERTY_TAGS) | {"connected"}
+
+
+def _coverage_degrees(tok: str, ln: int) -> range:
+    """Degrees named by one coverage token: 'n' or an inclusive range 'a-b'."""
+    lo, dash, hi = tok.partition("-")
+    if not dash:
+        hi = lo
+    elif not lo or not hi:
+        raise ParseError(f"half-open coverage range {tok!r}", line=ln)
+    if not (lo.isascii() and lo.isdigit() and hi.isascii() and hi.isdigit()):
+        raise ParseError(f"non-integer coverage token {tok!r}", line=ln)
+    if int(lo) > int(hi):
+        raise ParseError(f"reversed coverage range {tok!r}", line=ln)
+    return range(int(lo), int(hi) + 1)
 
 
 def _parse_directives(lines):
@@ -300,13 +338,12 @@ def _parse_directives(lines):
         if body.startswith("coverage:"):
             coverage = set()
             for tok in body[len("coverage:"):].replace(",", " ").split():
-                if "-" in tok:
-                    a, b = tok.split("-", 1)
-                    coverage.update(range(int(a), int(b) + 1))
-                else:
-                    coverage.add(int(tok))
+                coverage.update(_coverage_degrees(tok, ln))
         elif body.startswith("property:"):
-            tags.update(body[len("property:"):].replace(",", " ").split())
+            for tag in body[len("property:"):].replace(",", " ").split():
+                if tag not in _DECLARABLE_TAGS:
+                    raise ParseError(f"unknown property tag {tag!r}", line=ln)
+                tags.add(tag)
     return coverage, frozenset(tags)
 
 
@@ -317,7 +354,7 @@ def parse_mtrd(path: str) -> FileSource:
     if not raw_lines or raw_lines[0].split() != ["MTRD", "1"]:
         raise ParseError("missing MTRD 1 header", line=1)
     comments = []
-    matroids = []
+    records = []
     for ln, raw in enumerate(raw_lines[1:], start=2):
         s = raw.strip()
         if not s:
@@ -339,16 +376,16 @@ def parse_mtrd(path: str) -> FileSource:
         if any(b >= a for a, b in zip(masks[1:], masks)):
             raise ParseError("masks must be strictly increasing", line=ln)
         try:
-            matroids.append(from_bases(n, r, masks))
+            records.append((ln, from_bases(n, r, masks)))
         except ExchangeViolation as exc:
             raise ExchangeViolation(exc.s_mask, exc.t_mask, exc.x, line=ln) from None
         except MatroidError as exc:
             raise ParseError(f"invalid record: {exc}", line=ln) from None
     coverage, tags = _parse_directives(comments)
-    by_degree = _dedup_canonical(matroids)
+    by_degree, duplicates = _dedup_canonical(records)
     if coverage is None:
         coverage = set(by_degree)
-    return FileSource(by_degree, coverage, tags, path=path)
+    return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
 
 
 def write_mtrd(path: str, matroids, coverage=None, tags=()) -> None:
@@ -388,16 +425,17 @@ def parse_f2db(path: str) -> FileSource:
         current.append(s)
     if current:
         blocks.append((current_start, current))
-    matroids = []
+    records = []
     for start, rows in blocks:
         if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged block", line=start)
-        matroids.append(from_f2_matrix([[int(ch) for ch in row] for row in rows]))
+        matrix = [[int(ch) for ch in row] for row in rows]
+        records.append((start, from_f2_matrix(matrix)))
     coverage, tags = _parse_directives(comments)
-    by_degree = _dedup_canonical(matroids)
+    by_degree, duplicates = _dedup_canonical(records)
     if coverage is None:
         coverage = set(by_degree)
-    return FileSource(by_degree, coverage, tags, path=path)
+    return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
 
 
 def load_source(path: str) -> FileSource:

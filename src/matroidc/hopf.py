@@ -12,6 +12,7 @@ differential sitting in degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .canonical import canonical_key
 from .classes import ClassVector, normalize
@@ -25,61 +26,26 @@ from .complexes import (
 from .errors import InvalidSpec, MixedDegree
 from .matroid import EMPTY, uniform
 
+unit = ClassVector.unit
+
 
 def star(a: ClassVector, b: ClassVector) -> ClassVector:
     """Bilinear extension of direct sum to classes."""
-    out: dict = {}
-    for ka, ca in a.terms.items():
-        ma = ka.matroid()
-        for kb, cb in b.terms.items():
-            nz = normalize(ma.direct_sum(kb.matroid()))
-            if nz is None:
-                continue
-            key, s = nz
-            c = out.get(key, Fraction(0)) + ca * cb * s
-            out[key] = c
-    return ClassVector(out)
 
+    def terms():
+        for ka, ca in a.terms.items():
+            ma = ka.matroid()
+            for kb, cb in b.terms.items():
+                nz = normalize(ma.direct_sum(kb.matroid()))
+                if nz is not None:
+                    key, s = nz
+                    yield key, ca * cb * s
 
-def unit() -> ClassVector:
-    return ClassVector.of(EMPTY)
+    return ClassVector.accumulate(terms())
 
 
 def counit(v: ClassVector) -> Fraction:
     return v.coefficient(canonical_key(EMPTY))
-
-
-class TensorClassVector:
-    """Sparse rational combination of key pairs."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for kk, c in terms.items():
-                if c:
-                    clean[kk] = Fraction(c)
-        self.terms = clean
-
-    def add(self, other):
-        out = dict(self.terms)
-        for kk, c in other.terms.items():
-            out[kk] = out.get(kk, Fraction(0)) + c
-        return TensorClassVector(out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TensorClassVector({kk: v * c for kk, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorClassVector) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"TensorClassVector({len(self.terms)} terms)"
 
 
 def _shuffle_sign(smask: int, n: int) -> int:
@@ -93,24 +59,28 @@ def _shuffle_sign(smask: int, n: int) -> int:
     return -1 if total % 2 else 1
 
 
-def coproduct(v: ClassVector) -> TensorClassVector:
-    """Sum over subsets S of [restriction to S] tensor [contraction by S]."""
-    out: dict = {}
-    for key, coeff in v.terms.items():
-        m = key.matroid()
-        n = m.n
-        for smask in range(1 << n):
-            elements = [i + 1 for i in range(n) if smask >> i & 1]
-            left = normalize(m.restrict(elements))
-            if left is None:
-                continue
-            right = normalize(m.contract_set(elements))
-            if right is None:
-                continue
-            sign = _shuffle_sign(smask, n) * left[1] * right[1]
-            kk = (left[0], right[0])
-            out[kk] = out.get(kk, Fraction(0)) + coeff * sign
-    return TensorClassVector(out)
+def coproduct(v: ClassVector) -> ClassVector:
+    """Sum over subsets S of [restriction to S] tensor [contraction by S].
+
+    The result is keyed by (left key, right key) pairs.
+    """
+
+    def terms():
+        for key, coeff in v.terms.items():
+            m = key.matroid()
+            n = m.n
+            for smask in range(1 << n):
+                elements = [i + 1 for i in range(n) if smask >> i & 1]
+                left = normalize(m.restrict(elements))
+                if left is None:
+                    continue
+                right = normalize(m.contract_set(elements))
+                if right is None:
+                    continue
+                sign = _shuffle_sign(smask, n) * left[1] * right[1]
+                yield (left[0], right[0]), coeff * sign
+
+    return ClassVector.accumulate(terms())
 
 
 def _basis_classes(max_n: int, source):
@@ -119,27 +89,39 @@ def _basis_classes(max_n: int, source):
             yield key
 
 
-def _tensor_apply_left(f, t: TensorClassVector) -> TensorClassVector:
+def _key_tuples(arity: int, max_n: int, source):
+    """Tuples of `arity` basis keys of total degree <= max_n, in the order
+    of nested loops over the basis."""
+    keys = list(_basis_classes(max_n, source))
+
+    def grow(prefix, budget):
+        if len(prefix) == arity:
+            yield prefix
+            return
+        for key in keys:
+            if key.n > budget:
+                break  # keys come in degree order
+            yield from grow((*prefix, key), budget - key.n)
+
+    return grow((), max_n)
+
+
+def _tensor_apply_left(f, t: ClassVector) -> ClassVector:
     """(f tensor id) with f of even structure cost: no Koszul sign."""
-    out: dict = {}
-    for (ka, kb), c in t.terms.items():
-        fa = f(ClassVector({ka: 1}))
-        for k2, c2 in fa.terms.items():
-            kk = (k2, kb)
-            out[kk] = out.get(kk, Fraction(0)) + c * c2
-    return TensorClassVector(out)
+    return ClassVector.accumulate(
+        ((k2, kb), c * c2)
+        for (ka, kb), c in t.terms.items()
+        for k2, c2 in f(ClassVector({ka: 1})).terms.items()
+    )
 
 
-def _tensor_apply_right(f, t: TensorClassVector, degree: int) -> TensorClassVector:
+def _tensor_apply_right(f, t: ClassVector, degree: int) -> ClassVector:
     """(id tensor f) with Koszul sign (-1)^(degree * |left factor|)."""
-    out: dict = {}
-    for (ka, kb), c in t.terms.items():
-        sign = -1 if (degree * ka.n) % 2 else 1
-        fb = f(ClassVector({kb: 1}))
-        for k2, c2 in fb.terms.items():
-            kk = (ka, k2)
-            out[kk] = out.get(kk, Fraction(0)) + c * c2 * sign
-    return TensorClassVector(out)
+    return ClassVector.accumulate(
+        ((ka, k2), c * c2 * (-1 if (degree * ka.n) % 2 else 1))
+        for (ka, kb), c in t.terms.items()
+        for k2, c2 in f(ClassVector({kb: 1})).terms.items()
+    )
 
 
 def verify_coassociativity(max_n: int, source) -> Report:
@@ -148,91 +130,73 @@ def verify_coassociativity(max_n: int, source) -> Report:
     for key in _basis_classes(max_n, source):
         v = ClassVector({key: 1})
         dv = coproduct(v)
-        left: dict = {}
-        right: dict = {}
-        for (ka, kb), c in dv.terms.items():
-            for (k1, k2), c2 in coproduct(ClassVector({ka: 1})).terms.items():
-                t = (k1, k2, kb)
-                left[t] = left.get(t, Fraction(0)) + c * c2
-            for (k1, k2), c2 in coproduct(ClassVector({kb: 1})).terms.items():
-                t = (ka, k1, k2)
-                right[t] = right.get(t, Fraction(0)) + c * c2
-        ok = {t: c for t, c in left.items() if c} == {
-            t: c for t, c in right.items() if c
-        }
-        detail = f"n={key.n}" + ("" if ok else f" witness={key!r}")
-        rep.record(ok, "coassociativity", detail)
+        left = ClassVector.accumulate(
+            ((k1, k2, kb), c * c2)
+            for (ka, kb), c in dv.terms.items()
+            for (k1, k2), c2 in coproduct(ClassVector({ka: 1})).terms.items()
+        )
+        right = ClassVector.accumulate(
+            ((ka, k1, k2), c * c2)
+            for (ka, kb), c in dv.terms.items()
+            for (k1, k2), c2 in coproduct(ClassVector({kb: 1})).terms.items()
+        )
+        rep.record(left == right, "coassociativity", f"n={key.n}", (key,))
         # counit: collapse either factor.
-        lsum: dict = {}
-        rsum: dict = {}
-        for (ka, kb), c in dv.terms.items():
-            lsum[kb] = lsum.get(kb, Fraction(0)) + c * counit(ClassVector({ka: 1}))
-            rsum[ka] = rsum.get(ka, Fraction(0)) + c * counit(ClassVector({kb: 1}))
-        ok = ClassVector(lsum) == v and ClassVector(rsum) == v
-        detail = f"n={key.n}" + ("" if ok else f" witness={key!r}")
-        rep.record(ok, "counit", detail)
+        lsum = ClassVector.accumulate(
+            (kb, c * counit(ClassVector({ka: 1}))) for (ka, kb), c in dv.terms.items()
+        )
+        rsum = ClassVector.accumulate(
+            (ka, c * counit(ClassVector({kb: 1}))) for (ka, kb), c in dv.terms.items()
+        )
+        rep.record(lsum == v and rsum == v, "counit", f"n={key.n}", (key,))
     return rep
 
 
-def _tensor_star(t1: TensorClassVector, t2: TensorClassVector) -> TensorClassVector:
+def _tensor_star(t1: ClassVector, t2: ClassVector) -> ClassVector:
     """(a tensor b) star (c tensor d) = (-1)^(|b||c|) (a star c) tensor (b star d)."""
-    out: dict = {}
-    for (ka, kb), c in t1.terms.items():
-        for (kc, kd), c2 in t2.terms.items():
-            sign = -1 if (kb.n * kc.n) % 2 else 1
-            ac = star(ClassVector({ka: 1}), ClassVector({kc: 1}))
-            bd = star(ClassVector({kb: 1}), ClassVector({kd: 1}))
-            for k1, u in ac.terms.items():
-                for k2, w in bd.terms.items():
-                    kk = (k1, k2)
-                    out[kk] = out.get(kk, Fraction(0)) + c * c2 * sign * u * w
-    return TensorClassVector(out)
+
+    def terms():
+        for (ka, kb), c in t1.terms.items():
+            for (kc, kd), c2 in t2.terms.items():
+                sign = -1 if (kb.n * kc.n) % 2 else 1
+                ac = star(ClassVector({ka: 1}), ClassVector({kc: 1}))
+                bd = star(ClassVector({kb: 1}), ClassVector({kd: 1}))
+                for k1, u in ac.terms.items():
+                    for k2, w in bd.terms.items():
+                        yield (k1, k2), c * c2 * sign * u * w
+
+    return ClassVector.accumulate(terms())
 
 
 def verify_bialgebra(max_n: int, source) -> Report:
     """Delta is an algebra map for the graded product on the tensor square."""
     rep = Report([])
-    keys = list(_basis_classes(max_n, source))
-    for ka in keys:
-        for kb in keys:
-            if ka.n + kb.n > max_n:
-                continue
-            a = ClassVector({ka: 1})
-            b = ClassVector({kb: 1})
-            lhs = coproduct(star(a, b))
-            rhs = _tensor_star(coproduct(a), coproduct(b))
-            ok = lhs == rhs
-            detail = f"|a|={ka.n} |b|={kb.n}" + ("" if ok else f" witness={ka!r},{kb!r}")
-            rep.record(ok, "bialgebra", detail)
+    for ka, kb in _key_tuples(2, max_n, source):
+        a = ClassVector({ka: 1})
+        b = ClassVector({kb: 1})
+        lhs = coproduct(star(a, b))
+        rhs = _tensor_star(coproduct(a), coproduct(b))
+        rep.record(lhs == rhs, "bialgebra", f"|a|={ka.n} |b|={kb.n}", (ka, kb))
     return rep
 
 
 def verify_associativity(max_n: int, source) -> Report:
     rep = Report([])
-    keys = list(_basis_classes(max_n, source))
-    for ka in keys:
-        for kb in keys:
-            for kc in keys:
-                if ka.n + kb.n + kc.n > max_n:
-                    continue
-                a, b, c = (ClassVector({k: 1}) for k in (ka, kb, kc))
-                ok = star(star(a, b), c) == star(a, star(b, c))
-                rep.record(ok, "associativity", f"{ka.n}+{kb.n}+{kc.n}")
+    for ka, kb, kc in _key_tuples(3, max_n, source):
+        a, b, c = (ClassVector({k: 1}) for k in (ka, kb, kc))
+        ok = star(star(a, b), c) == star(a, star(b, c))
+        rep.record(ok, "associativity", f"{ka.n}+{kb.n}+{kc.n}", (ka, kb, kc))
     return rep
 
 
 def verify_graded_commutativity(max_n: int, source) -> Report:
     rep = Report([])
-    keys = list(_basis_classes(max_n, source))
-    for ka in keys:
-        for kb in keys:
-            if ka.n + kb.n > max_n:
-                continue
-            a = ClassVector({ka: 1})
-            b = ClassVector({kb: 1})
-            sign = -1 if (ka.n * kb.n) % 2 else 1
-            ok = star(a, b) == star(b, a).scale(sign)
-            rep.record(ok, "graded-commutativity", f"|a|={ka.n} |b|={kb.n}")
+    for ka, kb in _key_tuples(2, max_n, source):
+        a = ClassVector({ka: 1})
+        b = ClassVector({kb: 1})
+        sign = -1 if (ka.n * kb.n) % 2 else 1
+        ok = star(a, b) == star(b, a).scale(sign)
+        rep.record(ok, "graded-commutativity", f"|a|={ka.n} |b|={kb.n}", (ka, kb))
     return rep
 
 
@@ -241,9 +205,8 @@ def verify_unit_counit(max_n: int, source) -> Report:
     one = unit()
     for key in _basis_classes(max_n, source):
         v = ClassVector({key: 1})
-        rep.record(
-            star(one, v) == v and star(v, one) == v, "unit", f"n={key.n}"
-        )
+        ok = star(one, v) == v and star(v, one) == v
+        rep.record(ok, "unit", f"n={key.n}", (key,))
     rep.record(counit(one) == 1, "counit-unit", "")
     return rep
 
@@ -251,22 +214,15 @@ def verify_unit_counit(max_n: int, source) -> Report:
 def verify_leibniz(kind: DifferentialKind, max_n: int, source) -> Report:
     """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for homogeneous a, b."""
     rep = Report([])
-    keys = list(_basis_classes(max_n, source))
-    for ka in keys:
-        for kb in keys:
-            if ka.n + kb.n > max_n:
-                continue
-            a = ClassVector({ka: 1})
-            b = ClassVector({kb: 1})
-            lhs = apply_differential(kind, star(a, b))
-            rhs = star(apply_differential(kind, a), b).add(
-                star(a, apply_differential(kind, b)).scale(
-                    -1 if ka.n % 2 else 1
-                )
-            )
-            ok = lhs == rhs
-            detail = f"|a|={ka.n} |b|={kb.n}" + ("" if ok else f" witness={ka!r},{kb!r}")
-            rep.record(ok, f"leibniz {kind.value}", detail)
+    for ka, kb in _key_tuples(2, max_n, source):
+        a = ClassVector({ka: 1})
+        b = ClassVector({kb: 1})
+        lhs = apply_differential(kind, star(a, b))
+        rhs = star(apply_differential(kind, a), b).add(
+            star(a, apply_differential(kind, b)).scale(-1 if ka.n % 2 else 1)
+        )
+        detail = f"|a|={ka.n} |b|={kb.n}"
+        rep.record(lhs == rhs, f"leibniz {kind.value}", detail, (ka, kb))
     return rep
 
 
@@ -302,9 +258,8 @@ def verify_coderivation(kind: DifferentialKind, side: str, max_n: int, source) -
             rhs = _tensor_apply_right(dk, dv, degree=-1)
         else:
             rhs = _tensor_apply_left(dk, dv)
-        ok = lhs == rhs
-        detail = f"n={key.n}" + ("" if ok else f" witness={key!r}")
-        rep.record(ok, f"coderivation-{side} {kind.value}", detail)
+        what = f"coderivation-{side} {kind.value}"
+        rep.record(lhs == rhs, what, f"n={key.n}", (key,))
     return rep
 
 
@@ -358,14 +313,12 @@ def verify_homotopy(
 ) -> Report:
     rep = Report([])
     gen_name = generator or ("loop" if kind in _LOOP_KINDS else "coloop")
-    for n in range(0, max_n + 1):
-        for key in chain_basis(n, ALL, source).keys:
-            v = ClassVector({key: 1})
-            dh = apply_differential(kind, contracting_homotopy(kind, v, generator))
-            hd = contracting_homotopy(kind, apply_differential(kind, v), generator)
-            ok = dh.add(hd) == v
-            detail = f"n={n}" + ("" if ok else f" witness={key!r}")
-            rep.record(ok, f"homotopy {kind.value}({gen_name})", detail)
+    for key in _basis_classes(max_n, source):
+        v = ClassVector({key: 1})
+        dh = apply_differential(kind, contracting_homotopy(kind, v, generator))
+        hd = contracting_homotopy(kind, apply_differential(kind, v), generator)
+        what = f"homotopy {kind.value}({gen_name})"
+        rep.record(dh.add(hd) == v, what, f"n={key.n}", (key,))
     return rep
 
 
@@ -386,33 +339,16 @@ def connected_dim_check(max_n: int, source) -> Report:
         conn.append(
             sum(1 for key in basis.keys if key.matroid().is_connected())
         )
-    # Power series product up to degree max_n.
-    series = [0] * (max_n + 1)
-    series[0] = 1
+    # Power series product up to degree max_n: (1 + t^m)^c for odd m, and
+    # (1 - t^m)^(-c), with coefficient C(c - 1 + j, j) at t^(j m), for even m.
+    series = [1] + [0] * max_n
     for m in range(1, max_n + 1):
         c = conn[m]
         if not c:
             continue
-        if m % 2 == 1:
-            # (1 + t^m)^c
-            factor = [0] * (max_n + 1)
-            factor[0] = 1
-            from math import comb
-
-            for j in range(1, c + 1):
-                if j * m > max_n:
-                    break
-                factor[j * m] = comb(c, j)
-        else:
-            # (1 - t^m)^(-c): coefficients C(c - 1 + j, j) at t^(j m)
-            from math import comb
-
-            factor = [0] * (max_n + 1)
-            factor[0] = 1
-            j = 1
-            while j * m <= max_n:
-                factor[j * m] = comb(c - 1 + j, j)
-                j += 1
+        factor = [0] * (max_n + 1)
+        for j in range(0, max_n // m + 1):
+            factor[j * m] = comb(c, j) if m % 2 == 1 else comb(c - 1 + j, j)
         series = _poly_mul(series, factor, max_n)
     for n in range(0, max_n + 1):
         rep.record(

@@ -1,11 +1,12 @@
 """Exact rank of sparse integer matrices and Betti bookkeeping.
 
-The exact path is fraction-free elimination: rows are combined by integer
-cross-multiplication and re-reduced by their gcd, so no rationals ever
-appear.  Pivots are chosen Markowitz-style (minimal fill), with a dense
-Bareiss fallback once a matrix stops being sparse.  The modular path runs
-the same elimination over word-size prime fields and is used both as a
-fast path and as an independent check on the exact path.
+One sparse elimination kernel computes every rank, over Q or over GF(p).
+Pivots are chosen Markowitz-style (minimal fill, unit entries first), and
+rows are combined by integer cross-multiplication, so no rationals ever
+appear.  Over Q each new row is re-reduced by its gcd; over GF(p) its
+entries are reduced mod p.  There is no dense fallback: the chain groups
+are small and their matrices sparse.  The modular ranks, over word-size
+primes, are both a fast path and an independent check on the exact one.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class SparseIntMatrix:
     def max_abs(self) -> int:
         return max((abs(v) for v in self.entries.values()), default=0)
 
-    def to_dense(self) -> list[list[int]]:
-        d = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            d[i][j] = v
-        return d
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseIntMatrix)
@@ -137,10 +132,7 @@ def read_matrix_market(fh) -> SparseIntMatrix:
     return SparseIntMatrix.from_triples(rows, cols, triples)
 
 
-# -- exact rank --------------------------------------------------------------
-
-_DENSE_DENSITY = 0.35
-_DENSE_MIN_CELLS = 4096
+# -- elimination --------------------------------------------------------------
 
 
 def _row_reduce_gcd(row: dict[int, int]) -> None:
@@ -154,17 +146,14 @@ def _row_reduce_gcd(row: dict[int, int]) -> None:
             row[j] //= g
 
 
-def rank_exact(mat: SparseIntMatrix) -> int:
-    """Rank over the rationals, by integer-preserving elimination."""
-    if mat.is_zero():
-        return 0
-    cells = mat.rows * mat.cols
-    if cells >= _DENSE_MIN_CELLS and mat.nnz / cells > _DENSE_DENSITY:
-        return _rank_dense_bareiss(mat.to_dense())
-
+def _eliminate(mat: SparseIntMatrix, p: int = 0) -> int:
+    """Rank over Q when p is 0, else over GF(p), by sparse elimination."""
     rows: dict[int, dict[int, int]] = {}
     for (i, j), v in mat.entries.items():
-        rows.setdefault(i, {})[j] = v
+        if p:
+            v %= p
+        if v:
+            rows.setdefault(i, {})[j] = v
     col_rows: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -198,9 +187,12 @@ def rank_exact(mat: SparseIntMatrix) -> int:
             for j, w in prow.items():
                 if j != pj and j not in row:
                     new[j] = -a * w
-            new = {j: v for j, v in new.items() if v}
-            if new:
+            if p:
+                new = {j: v % p for j, v in new.items() if v % p}
+            else:
+                new = {j: v for j, v in new.items() if v}
                 _row_reduce_gcd(new)
+            if new:
                 rows[i] = new
                 for j in new:
                     col_rows.setdefault(j, set()).add(i)
@@ -209,31 +201,14 @@ def rank_exact(mat: SparseIntMatrix) -> int:
     return rank
 
 
-def _rank_dense_bareiss(a: list[list[int]]) -> int:
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    prev = 1
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        for i in range(rank + 1, nr):
-            ai = a[i]
-            f = ai[col]
-            for j in range(col, nc):
-                ai[j] = (p * ai[j] - f * a[rank][j]) // prev
-        prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+def rank_exact(mat: SparseIntMatrix) -> int:
+    """Rank over the rationals, by integer-preserving elimination."""
+    return _eliminate(mat)
+
+
+def rank_mod_p(mat: SparseIntMatrix, p: int) -> int:
+    """Rank over GF(p), for a prime p."""
+    return _eliminate(mat, p)
 
 
 # -- modular rank -------------------------------------------------------------
@@ -275,41 +250,6 @@ def default_primes(count: int = 3, seed: int = 0x6D74726F) -> tuple[int, ...]:
         if c not in out:
             out.append(c)
     return tuple(out)
-
-
-def rank_mod_p(mat: SparseIntMatrix, p: int) -> int:
-    rows = []
-    grouped: dict[int, dict[int, int]] = {}
-    for (i, j), v in mat.entries.items():
-        vv = v % p
-        if vv:
-            grouped.setdefault(i, {})[j] = vv
-    rows = list(grouped.values())
-    rank = 0
-    while rows:
-        row = rows.pop()
-        if not row:
-            continue
-        pj = next(iter(row))
-        inv = pow(row[pj], -1, p)
-        row = {j: v * inv % p for j, v in row.items()}
-        rank += 1
-        nxt = []
-        for r in rows:
-            a = r.get(pj)
-            if a:
-                r = {
-                    j: v
-                    for j, v in (
-                        (j, (r.get(j, 0) - a * row.get(j, 0)) % p)
-                        for j in set(r) | set(row)
-                    )
-                    if v
-                }
-            if r:
-                nxt.append(r)
-        rows = nxt
-    return rank
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """CLI commands, formats, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from matroidc.cli import main
 from matroidc.enumerate import parse_mtrd
@@ -132,6 +136,32 @@ def test_ingest_check_parse_error(tmp_path, capsys):
     assert code == 3 and "parse error" in err
 
 
+def test_ingest_check_reports_duplicates(tmp_path, capsys):
+    p = tmp_path / "dup.mtrd"
+    p.write_text("MTRD 1\n1 1 1 1\n1 1 1 1\n")
+    code, out, err = run(capsys, "ingest-check", "--source", str(p))
+    assert code == 2 and "repeat an earlier class" in err
+    assert "degree 1: 1 classes" in out
+    assert "duplicate: line 3 repeats the class of line 2: Key(n=1,r=1,+,[1])" in out
+    # other commands keep collapsing duplicates
+    code, out, _ = run(capsys, "dims", "--source", str(p), "--max-n", "1")
+    assert code == 2  # degree 0 is not covered, nothing about duplicates
+    p.write_text("MTRD 1\n1 0 1 0\n0 0 1 0\n1 0 1 0\n")
+    code, out, _ = run(capsys, "dims", "--source", str(p), "--max-n", "1")
+    assert code == 0 and out == "n,r,dim\n0,0,1\n1,0,1\n1,1,0\n"
+
+
+def test_malformed_directive_exits_as_parse_error(tmp_path, capsys):
+    p = tmp_path / "bad.mtrd"
+    p.write_text("MTRD 1\n# coverage: x\n1 1 1 1\n")
+    for argv in (
+        ("ingest-check", "--source", str(p)),
+        ("dims", "--source", str(p), "--max-n", "1"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "(line 2)" in err
+
+
 def test_bidegree_query(capsys):
     code, out, _ = run(
         capsys,
@@ -189,3 +219,17 @@ def test_dims_coverage_exit(capsys, tmp_path):
     p.write_text("MTRD 1\n1 0 1 0\n")
     code, _, err = run(capsys, "dims", "--source", str(p), "--max-n", "3")
     assert code == 2 and "source" in err
+
+
+def test_tracer_hooks_resolve(tmp_path):
+    # bench/tracer.py wraps named entry points of every layer; a rename that
+    # drops one would silently lose a per-layer metric.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "t.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "tracer.py"), str(out), "dims", "--max-n", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["missing"] == []

@@ -2,8 +2,10 @@
 
 import pytest
 
+from matroidc import complexes
 from matroidc.canonical import canonical_key
 from matroidc.classes import ClassVector
+from matroidc.cli import main
 from matroidc.complexes import (
     ALL,
     ComplexSpec,
@@ -24,7 +26,7 @@ from matroidc.complexes import (
 )
 from matroidc.enumerate import EnumeratorSource
 from matroidc.errors import InvalidSpec, PropertyNotDualityStable, SourceIncomplete
-from matroidc.linalg import RankPolicy, rank_exact
+from matroidc.linalg import RankPolicy, SparseIntMatrix, rank_exact
 from matroidc.matroid import EMPTY, complete_graph, graphic, uniform
 
 
@@ -268,7 +270,21 @@ def test_betti_at_bidegree_contraction_side(source):
     assert t.rows[0].dim == 1 and t.rows[0].betti == 0
 
 
-def test_homology_threads_match(source):
-    a = homology_table(ALL, K.DEL, 6, source, threads=2)
-    b = homology_table(ALL, K.DEL, 6, source)
-    assert [r.csv() for r in a] == [r.csv() for r in b]
+def test_homology_checks_square_zero_in_band(source, monkeypatch):
+    # Dropping the signs of the total deletion differential d_2 breaks
+    # d_1 d_2 = 0: the loop+coloop class then reaches the empty class twice.
+    exact = complexes.differential_matrix
+
+    def unsigned(kind, n, spec, src):
+        mat = exact(kind, n, spec, src)
+        if n != 2:
+            return mat
+        return SparseIntMatrix(mat.rows, mat.cols, {p: abs(v) for p, v in mat.entries.items()})
+
+    monkeypatch.setattr(complexes, "differential_matrix", unsigned)
+    with pytest.raises(SourceIncomplete, match=r"kind del-tot, n=2: witness=Key\(n=2,"):
+        homology_table(ALL, K.DEL_TOT, 3, source)
+    assert verify_square_zero(K.DEL_TOT, 3, ALL, source).lines[1] == (
+        "FAIL square-zero del-tot n=2 witness=Key(n=2,r=1,+,[1])"
+    )
+    assert main(["homology", "--kind", "del-tot", "--max-n", "3"]) == 2

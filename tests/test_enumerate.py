@@ -188,6 +188,48 @@ def test_mtrd_directives(tmp_path):
     assert src.representatives(2) == ()
 
 
+def test_mtrd_coverage_ranges(tmp_path):
+    p = tmp_path / "r.mtrd"
+    p.write_text("MTRD 1\n# coverage: 0-2, 4\n1 1 1 1\n")
+    src = parse_mtrd(str(p))
+    assert [n for n in range(6) if src.covers(n)] == [0, 1, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "directive, message",
+    [
+        ("# coverage: x", "non-integer coverage token 'x'"),
+        ("# coverage: 1 2.5", "non-integer coverage token '2.5'"),
+        ("# coverage: 3-", "half-open coverage range '3-'"),
+        ("# coverage: -3", "half-open coverage range '-3'"),
+        ("# coverage: 9-8", "reversed coverage range '9-8'"),
+        ("# property: simple regualr", "unknown property tag 'regualr'"),
+    ],
+)
+def test_malformed_directives_name_their_line(tmp_path, directive, message):
+    p = tmp_path / "bad.mtrd"
+    p.write_text(f"MTRD 1\n1 1 1 1\n{directive}\n")
+    with pytest.raises(ParseError, match=f"{message} \\(line 3\\)") as exc:
+        parse_mtrd(str(p))
+    assert exc.value.line == 3
+    f = tmp_path / "bad.f2db"
+    f.write_text(f"{directive}\n10\n01\n")
+    with pytest.raises(ParseError) as exc:
+        parse_f2db(str(f))
+    assert exc.value.line == 1
+
+
+def test_census_records_duplicate_lines(tmp_path):
+    p = tmp_path / "dup.mtrd"
+    p.write_text("MTRD 1\n2 1 1 1\n1 1 1 1\n2 1 1 2\n2 1 1 1\n")
+    src = parse_mtrd(str(p))
+    assert [(ln, first) for ln, first, _ in src.duplicates] == [(4, 2), (5, 2)]
+    assert src.duplicates[0][2] == canonical_key(uniform(1, 1).direct_sum(uniform(0, 1)))
+    f = tmp_path / "dup.f2db"
+    f.write_text("10\n01\n\n01\n10\n")
+    assert [(ln, first) for ln, first, _ in parse_f2db(str(f)).duplicates] == [(4, 1)]
+
+
 # -- F2DB ----------------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Byte-for-byte regression pins on CLI output.
 
 The sha256 of each command's stdout (or its --out file, for `enumerate`) was
-recorded before extension enumeration gained orbit pruning.  These pins are
+recorded before the change it guards: the first 23 before extension
+enumeration gained orbit pruning, the rest before the algebra and rank layers
+were merged.  These pins are
 regression references only: they say the output has not changed, not that it
 is right.  The other tests check the numbers themselves.  A change that means
 to alter an output must re-record its pin and say why.
@@ -15,6 +17,7 @@ from matroidc.cli import main
 
 KINDS = ("del", "clp", "con", "lp", "del-tot", "con-tot")
 SPECS = ("simple", "loopless", "binary", "regular", "graphic", "cographic")
+SUITES = ("square", "anticommute", "duality", "homotopy", "freealg", "hopf")
 
 GOLDEN = {
     **{
@@ -58,6 +61,35 @@ GOLDEN = {
         "6c704cd673bc4237ae57c8243ba24bbe73ae05bc474108382587f9eb9af02883",
     ("verify", "--suite", "hopf", "--max-n", "6"):
         "6f1e6ad014c4ec117245ffc828dd67495d09bd3a1d560606bb3dc94e9000eadf",
+    # Recorded before the algebra and rank layers were merged into one sparse
+    # vector, one boundary-term generator and one elimination kernel.
+    **{
+        ("verify", "--suite", suite, "--max-n", "7"): digest
+        for suite, digest in zip(SUITES, (
+            "1f8f99b36451a8de65481fd7d797d0e7c55375c783d54d8029699a2eb63b4b4e",
+            "abe9a148f32fb715d0509a081dc95022f9e3bc2091f9331278e9b6206af99cdd",
+            "ca099d1ff46595dd8c5820d270dc84d652ccb39f615bb2fc173809432478146c",
+            "5ff3a56bba503ed5a9069006838dc7ed7b233efc566bc4ef72552d7ba83b54a7",
+            "e44076e75b2298deca9c793fb6446a8f97f9dbd0e9498fe1c758929831274eff",
+            "328d038b896b01bbec3f8b7efd1caad9d152e282ef3ebd149a1b0c4ff70b30d5",
+        ))
+    },
+    **{
+        ("export-matrix", "--kind", kind, "--n", "7"): digest
+        for kind, digest in zip(("del", "clp", "con", "lp", "con-tot"), (
+            "1b83559a002ffc6c4a31bdbca89c085084ab31ce4e254cb1c1a6257664f6e1cf",
+            "5b929d212cb5ad5d24c71a172dd4bb7658265820a9b22956fe013c2752ac16b2",
+            "f6ccf3e2e6ed30a0c025eef861548263bf043c64ab06b4888b81c92279b7ecf4",
+            "6d70ab92e09deb57cf8f8cafcdda1322429d2e94fbc7be12567a86d35cd0a605",
+            "abc527bc8688410b42c7a1a4d2120678ca4398c2355359242ec71968b0628e0a",
+        ))
+    },
+    ("homology", "--spec", "regular,simple,connected", "--kind", "del", "--max-n", "7"):
+        "e2d2c1cc5edebea8d5101b47a2c5ed5c90e4bd6d6341314c634301e0d42bdf39",
+    ("homology", "--spec", "simple", "--kind", "del", "--bidegree", "6,3"):
+        "4cd95067b9542e7fcdff02fb88bd397325b341c127f6cd10a2c9b41a37512518",
+    ("homology", "--spec", "simple", "--kind", "del", "--max-n", "7", "--format", "json"):
+        "ca9aadc16fe44263c7e22ada48cfff5e62d386b47970b41bfd38cc9faa859015",
 }
 
 

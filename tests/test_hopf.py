@@ -131,6 +131,23 @@ def test_associativity_and_commutativity(source):
     assert verify_unit_counit(5, source).ok
 
 
+def test_identity_failures_name_witnesses(source, monkeypatch):
+    # a + 2b is neither unital, associative nor graded commutative
+    import matroidc.hopf as hopf
+
+    monkeypatch.setattr(hopf, "star", lambda a, b: a.add(b.scale(2)))
+    unit_rep = verify_unit_counit(1, source)
+    assert unit_rep.lines[0] == "FAIL unit n=0 witness=Key(n=0,r=0,+,[0])"
+    for rep in (
+        unit_rep,
+        verify_associativity(1, source),
+        verify_graded_commutativity(1, source),
+    ):
+        fails = [line for line in rep.lines if line.startswith("FAIL")]
+        assert fails and all(" witness=Key(" in line for line in fails)
+        assert all("witness" not in line for line in rep.lines if line.startswith("PASS"))
+
+
 def test_leibniz_all_kinds(source):
     for kind in K:
         assert verify_leibniz(kind, 5, source).ok

@@ -11,7 +11,6 @@ from matroidc.linalg import (
     BettiRow,
     BettiTable,
     SparseIntMatrix,
-    _rank_dense_bareiss,
     default_primes,
     rank_exact,
     rank_mod_p,
@@ -80,7 +79,41 @@ def test_rank_matches_oracle_on_random_matrices():
         expect = rank_oracle(rows)
         assert rank_exact(m) == expect
         assert rank_exact(m.transpose()) == expect
-        assert _rank_dense_bareiss([row[:] for row in rows]) == expect
+
+
+def rank_mod_p_oracle(rows, p):
+    """Dense Gaussian elimination over GF(p)."""
+    mat = [[v % p for v in row] for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_rank_mod_p_matches_dense_oracle(p):
+    rng = random.Random(1000 + p)
+    for _ in range(80):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [
+            [rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3, 5, 7)) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        m = dense_to_sparse(rows)
+        expect = rank_mod_p_oracle(rows, p)
+        assert rank_mod_p(m, p) == expect
+        assert rank_mod_p(m.transpose(), p) == expect
 
 
 def test_rank_modular_identity_and_discrepancy():
