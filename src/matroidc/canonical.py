@@ -18,6 +18,14 @@ way generates the whole group, so after the search we know both the
 canonical key and whether some automorphism is odd.  Detecting an odd
 automorphism is what decides whether an oriented class survives, so that
 flag is carried on the key itself.
+
+One search also answers the canonical representative.  A search on m
+returns a witness sigma with R = relabel(m, sigma); the result for R is the
+same key, the identity witness and the generators sigma psi sigma^-1, which
+generate Aut(R).  It is stored until the first lookup of R, so a census
+record and the representative built from its key cost one search, not two.
+Signs do not change: when the class has no odd automorphism any two
+witnesses onto R differ by an even automorphism.
 """
 
 from __future__ import annotations
@@ -251,6 +259,11 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     return witness, odd, autos
 
 
+# Results for canonical representatives, answered by the search on an
+# isomorphic input and popped by the first _canon call on the representative.
+_representatives: dict[Matroid, _CanonResult] = {}
+
+
 @lru_cache(maxsize=None)
 def _canon(m: Matroid) -> _CanonResult:
     n, r = m.n, m.r
@@ -266,10 +279,22 @@ def _canon(m: Matroid) -> _CanonResult:
             gens = [_adjacent_transposition(n, i) for i in range(n - 1)]
         key = CanonicalKey(n, r, masks, n >= 2)
         return _CanonResult(key, perm_identity(n), gens)
+    stored = _representatives.pop(m, None)
+    if stored is not None:
+        return stored
     witness, odd, autos = _search(n, r, frozenset(m.bases))
     canon = relabel(m, witness)
     key = CanonicalKey(n, r, canon.bases, odd)
     gens = [tuple(v + 1 for v in psi) for psi in autos]
+    if canon != m:
+        # sigma maps Aut(m) onto Aut(canon) by conjugation: psi fixes the
+        # bases of m, so sigma psi sigma^-1 fixes the bases of canon.
+        inv = perm_inverse(witness)
+        _representatives[canon] = _CanonResult(
+            key,
+            perm_identity(n),
+            [perm_compose(witness, perm_compose(g, inv)) for g in gens],
+        )
     return _CanonResult(key, witness, gens)
 
 

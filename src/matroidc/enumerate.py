@@ -336,7 +336,8 @@ def _parse_directives(lines):
     for ln, raw in lines:
         body = raw[1:].strip()
         if body.startswith("coverage:"):
-            coverage = set()
+            if coverage is None:
+                coverage = set()
             for tok in body[len("coverage:"):].replace(",", " ").split():
                 coverage.update(_coverage_degrees(tok, ln))
         elif body.startswith("property:"):

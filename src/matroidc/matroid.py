@@ -41,6 +41,23 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
+def _squeeze(masks, keep: int) -> tuple[int, ...]:
+    """Sorted distinct masks with the bits of `keep` moved down to 0, 1, ...
+
+    Bits outside `keep` must already be clear.  Kept bits that move by the
+    same shift form one block, so each mask takes one shift per block.
+    """
+    blocks: dict[int, int] = {}
+    for dest, pos in enumerate(_bit_positions(keep)):
+        blocks[pos - dest] = blocks.get(pos - dest, 0) | 1 << dest
+    if len(blocks) == 1:
+        (shift,) = blocks
+        return tuple(sorted({b >> shift for b in masks}))
+    return tuple(sorted({
+        sum((b >> shift) & block for shift, block in blocks.items()) for b in masks
+    }))
+
+
 def check_exchange(bases: tuple[int, ...]) -> None:
     """Raise ExchangeViolation unless the family satisfies axiom (B2)."""
     family = set(bases)
@@ -222,23 +239,37 @@ class Matroid:
         new = sorted({_compress_bit(b & ~bit, i) for b in self.bases if b & bit})
         return Matroid(self.n - 1, self.r - 1, tuple(new))
 
+    def _element_mask(self, elements) -> int:
+        mask = 0
+        for x in elements:
+            self._check_element(x)
+            mask |= 1 << (x - 1)
+        return mask
+
     def contract_set(self, elements) -> "Matroid":
-        """Contract a set of elements, by single contractions in ascending order."""
-        m = self
-        for off, x in enumerate(sorted(set(elements))):
-            m = m.contract(x - off)
-        return m
+        """Contract a set of elements.
+
+        The bases of M/T are B - T for the bases B meeting T in a basis of
+        T, i.e. in rank_of(T) elements.
+        """
+        drop = self._element_mask(elements)
+        k = self.rank_of(drop)
+        keep = self.full_mask & ~drop
+        bases = _squeeze(
+            (b & keep for b in self.bases if (b & drop).bit_count() == k), keep
+        )
+        return Matroid(keep.bit_count(), self.r - k, bases)
 
     def restrict(self, elements) -> "Matroid":
-        """Restriction to a subset, i.e. deletion of its complement."""
-        keep = sorted(set(elements))
-        for x in keep:
-            self._check_element(x)
-        m = self
-        drop = [x for x in range(self.n, 0, -1) if x not in set(keep)]
-        for x in drop:
-            m = m.delete(x)
-        return m
+        """Restriction to a subset, i.e. deletion of its complement.
+
+        The bases of M|S are the sets B & S of largest size, rank_of(S).
+        """
+        keep = self._element_mask(elements)
+        cuts = {b & keep for b in self.bases}
+        k = max(map(int.bit_count, cuts))
+        bases = _squeeze([c for c in cuts if c.bit_count() == k], keep)
+        return Matroid(keep.bit_count(), k, bases)
 
     def dual(self) -> "Matroid":
         full = self.full_mask
@@ -306,9 +337,12 @@ class Matroid:
         from .canonical import canonical_form
 
         want = canonical_form(pattern)[0]
+        count = len(pattern.bases)
         seen = set()
         for m in self.minors(pattern.n, pattern.r):
-            if m in seen:
+            # Isomorphism preserves the basis count, so most minors are
+            # ruled out without a canonical search.
+            if len(m.bases) != count or m in seen:
                 continue
             seen.add(m)
             if canonical_form(m)[0] == want:

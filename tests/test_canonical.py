@@ -199,3 +199,56 @@ def test_normalize_sign_agrees_with_bruteforce_witness():
                 if all(apply_perm_mask(b, p) in rep_bases for b in m.bases)
             )
             assert sign == perm_sign(brute)
+
+
+def _clear_canonical_caches():
+    from matroidc import canonical
+
+    canonical._canon.cache_clear()
+    canonical._representatives.clear()
+
+
+def _stored_result_cases():
+    from matroidc.matroid import wheel
+
+    for n in range(0, 7):
+        yield from enumerate_all(n)
+    yield graphic(wheel(5))
+
+
+def test_representative_is_answered_by_the_search_that_found_it(monkeypatch):
+    from matroidc import canonical
+    from matroidc.classes import normalize
+
+    rng = random.Random(41)
+    for m in _stored_result_cases():
+        p = list(range(1, m.n + 1))
+        rng.shuffle(p)
+        q = relabel(m, tuple(p))
+        _clear_canonical_caches()
+        key = canonical_key(q)
+        rep = key.matroid()
+        calls = []
+        search = canonical._search
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(canonical, "_search", counting)
+        got_key, witness = canonical_form(rep)
+        gens = automorphism_generators(rep)
+        group = automorphism_group(rep)
+        nz = normalize(rep)
+        monkeypatch.setattr(canonical, "_search", search)
+        assert got_key == key
+        if q != rep:
+            # the stored result: no second search, the identity witness
+            assert calls == []
+            assert witness == perm_identity(m.n)
+        rep_bases = set(rep.bases)
+        for g in gens:
+            assert all(apply_perm_mask(b, g) in rep_bases for b in rep.bases)
+        _clear_canonical_caches()
+        assert len(group) == len(automorphism_group(rep))
+        assert nz == normalize(rep)

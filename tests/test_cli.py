@@ -129,6 +129,17 @@ def test_ingest_check(tmp_path, capsys):
     assert "property tags: simple" in out
 
 
+def test_ingest_check_coverage_accumulates(tmp_path, capsys):
+    # a second coverage line adds to the first instead of replacing it
+    p = tmp_path / "cov.mtrd"
+    p.write_text("MTRD 1\n# coverage: 0 1\n# coverage: 2\n1 1 1 1\n")
+    code, out, _ = run(capsys, "ingest-check", "--source", str(p))
+    assert code == 0
+    assert "degrees=0,1,2" in out
+    for line in ("degree 0: 0 classes", "degree 1: 1 classes", "degree 2: 0 classes"):
+        assert line in out
+
+
 def test_ingest_check_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.mtrd"
     p.write_text("not a census\n")

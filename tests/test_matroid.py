@@ -19,6 +19,7 @@ from matroidc.errors import (
 )
 from matroidc.matroid import (
     EMPTY,
+    _excluded_minors,
     Graph,
     complete_graph,
     fano,
@@ -242,6 +243,36 @@ def test_contract_set_order_independent():
         assert asc == desc
 
 
+def test_restrict_and_contract_set_match_single_element_route():
+    # the one-pass routes against deleting or contracting one element at a
+    # time, for every class with n <= 6 and every subset
+    for n in range(0, 7):
+        for m in enumerate_all(n):
+            for smask in range(1 << n):
+                elements = [x for x in range(1, n + 1) if smask >> (x - 1) & 1]
+                deleted = m
+                for x in range(n, 0, -1):
+                    if x not in elements:
+                        deleted = deleted.delete(x)
+                contracted = m
+                for x in sorted(elements, reverse=True):
+                    contracted = contracted.contract(x)
+                for got, want in ((m.restrict(elements), deleted),
+                                  (m.contract_set(elements), contracted)):
+                    assert (got.n, got.r, got.bases) == (want.n, want.r, want.bases)
+
+
+def test_restrict_and_contract_set_check_elements():
+    m = uniform(2, 4)
+    for bad in ([5], [0], [1, 5], [-1]):
+        with pytest.raises(ElementOutOfRange):
+            m.restrict(bad)
+        with pytest.raises(ElementOutOfRange):
+            m.contract_set(bad)
+    assert m.contract_set([]) == m
+    assert m.contract_set([2, 2]) == m.contract(2)
+
+
 def test_dual_examples():
     assert uniform(2, 4).dual() == uniform(2, 4)
     assert uniform(0, 1).dual() == uniform(1, 1)
@@ -343,6 +374,49 @@ def test_has_minor_examples():
     assert not k4.has_minor(u24)
     assert not fano().has_minor(u24)
     assert k4.has_minor(uniform(1, 2))
+
+
+def _has_minor_unfiltered(m, pattern):
+    # has_minor without the basis-count filter: every distinct minor of the
+    # pattern's size and rank is canonically labelled
+    want = canonical_key(pattern)
+    return any(canonical_key(x) == want for x in set(m.minors(pattern.n, pattern.r)))
+
+
+def test_has_minor_agrees_with_unfiltered_route():
+    patterns = set()
+    for which in ("binary", "ternary", "regular", "graphic", "cographic"):
+        patterns.update(_excluded_minors(which))
+    for n in range(0, 8):
+        for m in enumerate_all(n):
+            for x in patterns:
+                assert m.has_minor(x) == _has_minor_unfiltered(m, x), (m.bases, x)
+
+
+def test_has_minor_skips_search_on_basis_count(monkeypatch):
+    from matroidc import canonical
+
+    # U(3,7) has 35 bases and its only rank-3 minor on 7 elements is itself,
+    # while F7 and F7* have 28: no minor can match, so nothing is searched.
+    canonical._canon.cache_clear()
+    canonical._representatives.clear()
+    patterns = (fano(), fano().dual())
+    for x in patterns:
+        canonical_key(x)
+    calls = []
+    search = canonical._search
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(canonical, "_search", counting)
+    for x in patterns:
+        assert not uniform(3, 7).has_minor(x)
+    assert calls == []
+    # a minor with the pattern's basis count is still searched
+    assert relabel(fano(), (2, 1, 3, 4, 5, 6, 7)).has_minor(fano())
+    assert len(calls) == 1
 
 
 def test_representability_flags():
