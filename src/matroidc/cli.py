@@ -42,10 +42,7 @@ def _add_common(p, kind=False, max_n=True):
     if max_n:
         p.add_argument("--max-n", type=int, default=7, dest="max_n")
     p.add_argument("--source", default=None, help="census file (MTRD or F2DB)")
-    p.add_argument("--format", default="csv", choices=("csv", "json", "mm"))
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--exact", action="store_true", help="force exact ranks")
-    p.add_argument("--primes", type=int, default=3, help="modular prime count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,9 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="chain dimensions per bidegree")
     _add_common(p)
+    p.add_argument("--format", default="csv", choices=("csv", "json"))
 
     p = sub.add_parser("homology", help="Betti table of a complex")
     _add_common(p, kind=True)
+    p.add_argument("--format", default="csv", choices=("csv", "json"))
+    p.add_argument("--exact", action="store_true", help="force exact ranks")
+    p.add_argument("--primes", type=int, default=3, help="modular prime count")
     p.add_argument(
         "--bidegree",
         default=None,
@@ -80,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-matrix", help="differential matrix as Matrix Market")
     _add_common(p, kind=True, max_n=False)
-    p.set_defaults(format="mm")
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("ingest-check", help="validate a census file")
@@ -107,18 +107,11 @@ def _policy(args) -> RankPolicy:
     return RankPolicy(exact=args.exact, primes=default_primes(max(args.primes, 1)))
 
 
-def _table_format(args) -> str:
-    if args.format == "mm":
-        raise InvalidSpec("mm format is only for export-matrix")
-    return args.format
-
-
 def cmd_dims(args) -> int:
     spec = ComplexSpec.parse(args.spec)
     source = _get_source(args)
-    fmt = _table_format(args)
     rows = complexes.dims_table(spec, args.max_n, source)
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(
             [{"n": n, "r": r, "dim": d} for n, r, d in rows], indent=0
         ) + "\n"
@@ -141,7 +134,7 @@ def cmd_homology(args) -> int:
         table = complexes.betti_at_bidegree(spec, kind, n, r, source, policy)
     else:
         table = complexes.homology_table(spec, kind, args.max_n, source, policy)
-    if _table_format(args) == "json":
+    if args.format == "json":
         text = json.dumps([asdict(row) for row in table], indent=0) + "\n"
     else:
         text = table.to_csv()
@@ -176,10 +169,10 @@ def cmd_verify(args) -> int:
         rep.extend(hopf.verify_bialgebra(max_n, source))
         for kind in K:
             rep.extend(hopf.verify_leibniz(kind, max_n, source))
-        for kind in (K.DEL, K.CLP):
-            rep.extend(hopf.verify_coderivation(kind, "right", max_n, source))
-        for kind in (K.CON, K.LP):
-            rep.extend(hopf.verify_coderivation(kind, "left", max_n, source))
+        for kind in K:
+            if kind.removes != "all":
+                side = hopf.coderivation_side(kind)
+                rep.extend(hopf.verify_coderivation(kind, side, max_n, source))
     elif args.suite == "homotopy":
         for kind, gen in (
             (K.DEL, "loop"),
@@ -205,8 +198,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_export_matrix(args) -> int:
-    if args.format not in ("mm",):
-        raise InvalidSpec("export-matrix writes Matrix Market; use --format mm")
     spec = ComplexSpec.parse(args.spec)
     kind = parse_kind(args.kind)
     source = _get_source(args)

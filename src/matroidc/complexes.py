@@ -18,20 +18,48 @@ from .canonical import CanonicalKey, canonical_form
 from .classes import ClassVector, normalize
 from .errors import InvalidSpec, PropertyNotDualityStable, SourceIncomplete
 from .linalg import BettiRow, BettiTable, RankPolicy, SparseIntMatrix, rank_exact
-from .matroid import Matroid
+from .matroid import Matroid, _bit_positions
 
 
 class DifferentialKind(str, Enum):
-    DEL = "del"
-    CLP = "clp"
-    CON = "con"
-    LP = "lp"
-    DEL_TOT = "del-tot"
-    CON_TOT = "con-tot"
+    """A differential: one operation removing each element of one sort.
+
+    `operation` names the Matroid method that removes an element.  `removes`
+    is "all", "special" or "rest", where the special elements are the
+    coloops under deletion and the loops under contraction.  Deleting a
+    non-coloop or contracting a loop lowers the nullity; deleting a coloop
+    or contracting a non-loop lowers the rank.
+    """
+
+    #         value      operation   removes
+    DEL     = "del",     "delete",   "rest"
+    CLP     = "clp",     "delete",   "special"
+    CON     = "con",     "contract", "rest"
+    LP      = "lp",      "contract", "special"
+    DEL_TOT = "del-tot", "delete",   "all"
+    CON_TOT = "con-tot", "contract", "all"
+
+    def __new__(cls, value: str, operation: str, removes: str):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.operation = operation
+        member.removes = removes
+        return member
+
+    def elements(self, m: Matroid) -> int:
+        """Mask of the elements of m this differential removes."""
+        if self.removes == "all":
+            return m.full_mask
+        special = m.coloops_mask() if self.operation == "delete" else m.loops_mask()
+        return special if self.removes == "special" else m.full_mask & ~special
 
     @property
-    def is_total(self) -> bool:
-        return self in (DifferentialKind.DEL_TOT, DifferentialKind.CON_TOT)
+    def grade_kept(self) -> str | None:
+        """The grade every term keeps, "rank" or "nullity"; None for a total."""
+        if self.removes == "all":
+            return None
+        lowers_nullity = (self.operation == "delete") == (self.removes == "rest")
+        return "rank" if lowers_nullity else "nullity"
 
 
 KIND_ALIASES = {k.value: k for k in DifferentialKind}
@@ -42,31 +70,6 @@ def parse_kind(text: str) -> DifferentialKind:
         return KIND_ALIASES[text.strip().lower()]
     except KeyError:
         raise InvalidSpec(f"unknown differential kind {text!r}") from None
-
-
-def _qualifying_elements(kind: DifferentialKind, m: Matroid):
-    """(element, use_deletion) pairs the differential sums over."""
-    loops = m.loops_mask()
-    coloops = m.coloops_mask()
-    for i in range(m.n):
-        bit = 1 << i
-        x = i + 1
-        if kind is DifferentialKind.DEL:
-            if not coloops & bit:
-                yield x, True
-        elif kind is DifferentialKind.CLP:
-            if coloops & bit:
-                yield x, True
-        elif kind is DifferentialKind.CON:
-            if not loops & bit:
-                yield x, False
-        elif kind is DifferentialKind.LP:
-            if loops & bit:
-                yield x, False
-        elif kind is DifferentialKind.DEL_TOT:
-            yield x, True
-        else:
-            yield x, False
 
 
 PROPERTY_TAGS = {
@@ -172,9 +175,8 @@ class ChainBasis:
 
 
 def _check_source_tags(spec: ComplexSpec, source) -> None:
-    declared = set(source.tags())
-    for t in set(declared):
-        declared |= _TAG_IMPLICATIONS.get(t, set())
+    tags = source.tags()
+    declared = ComplexSpec(tags - {"connected"}).expanded_tags() | tags
     if not declared <= spec.expanded_tags():
         raise SourceIncomplete(
             f"source restricted to {sorted(declared)} cannot serve spec "
@@ -209,13 +211,13 @@ def _boundary_terms(kind: DifferentialKind, key: CanonicalKey):
     may repeat; callers add the repeats up.
     """
     m = key.matroid()
-    for x, use_del in _qualifying_elements(kind, m):
-        child = m.delete(x) if use_del else m.contract(x)
-        nz = normalize(child)
+    remove = getattr(m, kind.operation)
+    for i in _bit_positions(kind.elements(m)):
+        nz = normalize(remove(i + 1))
         if nz is None:
             continue
         ckey, s = nz
-        yield ckey, (s if x % 2 == 1 else -s)
+        yield ckey, (s if i % 2 == 0 else -s)
 
 
 def apply_differential(kind: DifferentialKind, v: ClassVector) -> ClassVector:
@@ -328,15 +330,12 @@ def verify_anticommute(
 
 
 def verify_bidegrees(max_n: int, source) -> Report:
-    """Del/Lp drop nullity, Clp/Con drop rank, on every basis class."""
+    """Each single kind lowers the grade it does not keep, on every basis class."""
     rep = Report([])
-    shifts = {
-        DifferentialKind.DEL: (-1, 0),
-        DifferentialKind.LP: (-1, 0),
-        DifferentialKind.CLP: (0, -1),
-        DifferentialKind.CON: (0, -1),
-    }
-    for kind, (dk, dr) in shifts.items():
+    for kind in DifferentialKind:
+        if kind.grade_kept is None:
+            continue
+        dk, dr = (-1, 0) if kind.grade_kept == "rank" else (0, -1)
         ok = True
         for n in range(1, max_n + 1):
             for key in chain_basis(n, ALL, source).keys:
@@ -490,12 +489,10 @@ def betti_at_bidegree(
     policy: RankPolicy | None = None,
 ) -> BettiTable:
     """Homology of the bigraded slice through (n, r): ground size n, rank r."""
-    if kind.is_total:
+    grade = kind.grade_kept
+    if grade is None:
         raise InvalidSpec("bidegree slices need a single-bidegree differential")
-    if kind in (DifferentialKind.DEL, DifferentialKind.LP):
-        sliced = spec.with_slice(("rank", r))
-    else:
-        sliced = spec.with_slice(("nullity", n - r))
+    sliced = spec.with_slice((grade, r if grade == "rank" else n - r))
     table = homology_table(sliced, kind, n, source, policy)
     return BettiTable([row for row in table.rows if row.n == n])
 

@@ -35,7 +35,7 @@ from .matroid import (
 ENUMERATION_LIMIT = 7
 
 
-def _exchange_families(fixed: tuple[int, ...], cands: list[int], force_first: bool):
+def _exchange_families(fixed: tuple[int, ...], cands: list[int]):
     """Yield every subset A of cands with fixed + A satisfying basis exchange.
 
     fixed must already satisfy exchange on its own.  Requirements created
@@ -75,19 +75,7 @@ def _exchange_families(fixed: tuple[int, ...], cands: list[int], force_first: bo
         return reqs
 
     # Iterative DFS: frame = (cursor, chosen indices tuple, pending reqs)
-    start = 0
-    init_chosen: tuple[int, ...] = ()
-    init_pending: tuple[int, ...] = ()
-    if force_first:
-        if not cands:
-            return
-        reqs = new_requirements(0, list(fixed), set())
-        if reqs is None:
-            return
-        init_chosen = (0,)
-        init_pending = tuple(reqs)
-        start = 1
-    stack = [(start, init_chosen, init_pending)]
+    stack = [(0, (), ())]
     while stack:
         i, chosen, pending = stack.pop()
         if i == nc:
@@ -124,7 +112,9 @@ def _direct_search_rank(n: int, r: int):
     """
     cands = [sum(1 << i for i in combo) for combo in combinations(range(n), r)]
     cands.sort()
-    yield from _exchange_families((), cands, force_first=True)
+    first = cands[0]  # the basis {1..r}
+    for extra in _exchange_families((first,), cands[1:]):
+        yield (first, *extra)
 
 
 def _classes(keys) -> tuple[Matroid, ...]:
@@ -156,7 +146,7 @@ def extend_by_element(m: Matroid) -> list[Matroid]:
     ebit = 1 << n
     out = [m.direct_sum(Matroid(1, 1, (1,)))]  # coloop extension
     cands = sorted(s | ebit for s in m.independent_sets(r - 1)) if r >= 1 else []
-    for extra in _exchange_families(m.bases, cands, force_first=False):
+    for extra in _exchange_families(m.bases, cands):
         fam = tuple(sorted(m.bases + extra))
         out.append(Matroid(n + 1, r, fam))
     return out
@@ -348,6 +338,18 @@ def _parse_directives(lines):
     return coverage, frozenset(tags)
 
 
+def _file_source(path: str, comments, records) -> FileSource:
+    """The census of (line, directive) comments and (line, matroid) records.
+
+    Without a coverage directive, exactly the degrees present are claimed.
+    """
+    coverage, tags = _parse_directives(comments)
+    by_degree, duplicates = _dedup_canonical(records)
+    if coverage is None:
+        coverage = set(by_degree)
+    return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
+
+
 def parse_mtrd(path: str) -> FileSource:
     """MTRD v1: header 'MTRD 1', one record per line: n r k mask_1 .. mask_k."""
     with open(path) as fh:
@@ -382,11 +384,7 @@ def parse_mtrd(path: str) -> FileSource:
             raise ExchangeViolation(exc.s_mask, exc.t_mask, exc.x, line=ln) from None
         except MatroidError as exc:
             raise ParseError(f"invalid record: {exc}", line=ln) from None
-    coverage, tags = _parse_directives(comments)
-    by_degree, duplicates = _dedup_canonical(records)
-    if coverage is None:
-        coverage = set(by_degree)
-    return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
+    return _file_source(path, comments, records)
 
 
 def write_mtrd(path: str, matroids, coverage=None, tags=()) -> None:
@@ -432,11 +430,7 @@ def parse_f2db(path: str) -> FileSource:
             raise ParseError("ragged block", line=start)
         matrix = [[int(ch) for ch in row] for row in rows]
         records.append((start, from_f2_matrix(matrix)))
-    coverage, tags = _parse_directives(comments)
-    by_degree, duplicates = _dedup_canonical(records)
-    if coverage is None:
-        coverage = set(by_degree)
-    return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
+    return _file_source(path, comments, records)
 
 
 def load_source(path: str) -> FileSource:

@@ -226,27 +226,20 @@ def verify_leibniz(kind: DifferentialKind, max_n: int, source) -> Report:
     return rep
 
 
-_RIGHT_KINDS = {
-    DifferentialKind.DEL,
-    DifferentialKind.CLP,
-    DifferentialKind.DEL_TOT,
-}
-_LEFT_KINDS = {
-    DifferentialKind.CON,
-    DifferentialKind.LP,
-    DifferentialKind.CON_TOT,
-}
+def coderivation_side(kind: DifferentialKind) -> str:
+    """The coproduct factor a differential acts on: deletion acts on the
+    contraction factor (right), contraction on the restriction factor (left).
+    """
+    return "right" if kind.operation == "delete" else "left"
 
 
 def verify_coderivation(kind: DifferentialKind, side: str, max_n: int, source) -> Report:
-    """One-sided co-Leibniz law: deletion-type differentials act on the
-    contraction factor (right), contraction-type on the restriction factor
-    (left); the right action carries the Koszul sign (-1)^|left factor|.
+    """One-sided co-Leibniz law on the side `coderivation_side` names; the
+    right action carries the Koszul sign (-1)^|left factor|.
     """
     if side not in ("left", "right"):
         raise InvalidSpec(f"side must be left or right, got {side!r}")
-    expected = _RIGHT_KINDS if side == "right" else _LEFT_KINDS
-    if kind not in expected:
+    if coderivation_side(kind) != side:
         raise InvalidSpec(f"{kind.value} is not a {side} coderivation candidate")
     rep = Report([])
     dk = lambda v: apply_differential(kind, v)
@@ -265,33 +258,26 @@ def verify_coderivation(kind: DifferentialKind, side: str, max_n: int, source) -
 
 # -- contracting homotopies -----------------------------------------------------
 
-_LOOP_KINDS = {
-    DifferentialKind.DEL,
-    DifferentialKind.DEL_TOT,
-    DifferentialKind.LP,
-    DifferentialKind.CON_TOT,
-}
-_COLOOP_KINDS = {
-    DifferentialKind.CLP,
-    DifferentialKind.DEL_TOT,
-    DifferentialKind.CON,
-    DifferentialKind.CON_TOT,
-}
+# The degree-1 classes that may generate a contracting homotopy.
+_GENERATORS = {"loop": uniform(0, 1), "coloop": uniform(1, 1)}
+
+
+def _default_generator(kind: DifferentialKind) -> str:
+    return "loop" if kind.elements(_GENERATORS["loop"]) else "coloop"
 
 
 def homotopy_generator(kind: DifferentialKind, generator: str | None = None) -> ClassVector:
-    """The degree-1 class whose boundary is the unit for this differential."""
+    """The degree-1 class whose boundary is the unit for this differential:
+    one whose element the differential removes.
+    """
     if generator is None:
-        generator = "loop" if kind in _LOOP_KINDS else "coloop"
-    if generator == "loop":
-        if kind not in _LOOP_KINDS:
-            raise InvalidSpec(f"{kind.value} does not send the loop class to the unit")
-        return ClassVector.of(uniform(0, 1))
-    if generator == "coloop":
-        if kind not in _COLOOP_KINDS:
-            raise InvalidSpec(f"{kind.value} does not send the coloop class to the unit")
-        return ClassVector.of(uniform(1, 1))
-    raise InvalidSpec(f"generator must be loop or coloop, got {generator!r}")
+        generator = _default_generator(kind)
+    if generator not in _GENERATORS:
+        raise InvalidSpec(f"generator must be loop or coloop, got {generator!r}")
+    m = _GENERATORS[generator]
+    if not kind.elements(m):
+        raise InvalidSpec(f"{kind.value} does not send the {generator} class to the unit")
+    return ClassVector.of(m)
 
 
 def contracting_homotopy(
@@ -312,7 +298,7 @@ def verify_homotopy(
     kind: DifferentialKind, max_n: int, source, generator: str | None = None
 ) -> Report:
     rep = Report([])
-    gen_name = generator or ("loop" if kind in _LOOP_KINDS else "coloop")
+    gen_name = generator or _default_generator(kind)
     for key in _basis_classes(max_n, source):
         v = ClassVector({key: 1})
         dh = apply_differential(kind, contracting_homotopy(kind, v, generator))

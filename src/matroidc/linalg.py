@@ -327,9 +327,9 @@ class BettiTable:
 class RankPolicy:
     """How ranks are computed: exact, or modular with exact confirmation."""
 
-    def __init__(self, exact: bool = False, prime_count: int = 3, primes=None):
+    def __init__(self, exact: bool = False, primes=None):
         self.exact = exact
-        self.primes = tuple(primes) if primes else default_primes(max(prime_count, 1))
+        self.primes = tuple(primes) if primes else default_primes(3)
 
     def rank(self, mat: SparseIntMatrix) -> tuple[int, str]:
         if self.exact:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from matroidc.cli import main
 from matroidc.enumerate import parse_mtrd
 
@@ -62,6 +64,20 @@ def test_homology_exact_flag(capsys):
     bb = [line.split(",")[7] for line in b[1].splitlines()[1:]]
     assert ba == bb
     assert all(line.endswith("exact") for line in b[1].splitlines()[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "square", "--format", "json"),
+    ("dims", "--exact"),
+    ("verify", "--suite", "square", "--primes", "5"),
+    ("export-matrix", "--n", "2", "--format", "mm"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    # verify prints plain text, and only homology ranks matrices
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_homology_coverage_exit(capsys, tmp_path):

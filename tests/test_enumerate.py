@@ -313,7 +313,7 @@ def test_exchange_backtracker_matches_bruteforce():
             continue
         ebit = 1 << parent.n
         cands = sorted(s | ebit for s in parent.independent_sets(r - 1))
-        got = set(_exchange_families(parent.bases, cands, force_first=False))
+        got = set(_exchange_families(parent.bases, cands))
         assert got == brute(parent.bases, cands)
 
 

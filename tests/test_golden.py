@@ -2,11 +2,12 @@
 
 The sha256 of each command's stdout (or its --out file, for `enumerate`) was
 recorded before the change it guards: the first 23 before extension
-enumeration gained orbit pruning, the rest before the algebra and rank layers
-were merged.  These pins are
-regression references only: they say the output has not changed, not that it
-is right.  The other tests check the numbers themselves.  A change that means
-to alter an output must re-record its pin and say why.
+enumeration gained orbit pruning, the next 14 before the algebra and rank
+layers were merged, the last five before the per-kind decisions of the
+differentials moved into one table.  These pins are regression references
+only: they say the output has not changed, not that it is right.  The other
+tests check the numbers themselves.  A change that means to alter an output
+must re-record its pin and say why.
 """
 
 import hashlib
@@ -90,6 +91,18 @@ GOLDEN = {
         "4cd95067b9542e7fcdff02fb88bd397325b341c127f6cd10a2c9b41a37512518",
     ("homology", "--spec", "simple", "--kind", "del", "--max-n", "7", "--format", "json"):
         "ca9aadc16fe44263c7e22ada48cfff5e62d386b47970b41bfd38cc9faa859015",
+    # Recorded before the per-kind decisions moved into one table on
+    # DifferentialKind; 7,3 is an upper_bound row.
+    ("homology", "--spec", "regular,simple,connected", "--kind", "del", "--bidegree", "6,3"):
+        "66dabab8d37d0890256b7160e3031daff04cf4239dae9237cd4387a677af65ad",
+    ("homology", "--kind", "con", "--bidegree", "2,1"):
+        "64712b39a4aa5eac697552112b6a00d47667caf55059d946d130e90d28fc8236",
+    ("homology", "--kind", "lp", "--bidegree", "6,3"):
+        "bd5df1f5e75b12a4f6992a874a80798b4c1b18fe014eaaf338cdf2347c586a3b",
+    ("homology", "--kind", "clp", "--bidegree", "6,3"):
+        "3dab2fb5c41b3e61d0d41d45d5c05cc82312acffaaf42cbe3cc8fa8495dbb53c",
+    ("homology", "--kind", "del", "--bidegree", "7,3"):
+        "c5f2e7d4d657db8192bfd5dd27d458a17e8cddbf562dffa85dff02bd015bb7b4",
 }
 
 
