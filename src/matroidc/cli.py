@@ -24,6 +24,7 @@ from .errors import (
     SourceIncomplete,
 )
 from .linalg import RankPolicy, default_primes, write_matrix_market
+from .matroid import MAX_ELEMENTS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -212,7 +213,7 @@ def cmd_ingest_check(args) -> int:
     source = load_source(args.source)
     lines = [f"source: {source!r}"]
     total = 0
-    for n in sorted(k for k in range(0, 17) if source.covers(k)):
+    for n in (k for k in range(0, MAX_ELEMENTS + 1) if source.covers(k)):
         reps = source.representatives(n)
         total += len(reps)
         lines.append(f"degree {n}: {len(reps)} classes")

@@ -397,10 +397,14 @@ def verify_duality(max_n: int, spec: ComplexSpec, source) -> Report:
         if n == 0:
             continue
         d_prev = dualize_basis_map(n - 1, spec, source)
-        for kind_a, kind_b in (
-            (DifferentialKind.DEL, DifferentialKind.CON),
-            (DifferentialKind.CLP, DifferentialKind.LP),
-        ):
+        for kind_a in DifferentialKind:
+            if kind_a.operation != "delete" or kind_a.removes == "all":
+                continue
+            # the dual kind removes the same elements by contraction
+            kind_b = next(
+                k for k in DifferentialKind
+                if k.operation == "contract" and k.removes == kind_a.removes
+            )
             lhs = d_prev.compose(differential_matrix(kind_a, n, spec, source))
             rhs = differential_matrix(kind_b, n, spec, source).compose(d_n)
             rep.record(

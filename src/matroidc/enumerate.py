@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations
 
 from .canonical import apply_perm_mask, automorphism_generators, canonical_key
 from .complexes import PROPERTY_TAGS
@@ -28,6 +27,7 @@ from .matroid import (
     MAX_ELEMENTS,
     Matroid,
     _bit_positions,
+    _subset_masks,
     from_bases,
     from_f2_matrix,
 )
@@ -110,8 +110,7 @@ def _direct_search_rank(n: int, r: int):
     Every isomorphism class has such a representative, so this is complete
     up to isomorphism.
     """
-    cands = [sum(1 << i for i in combo) for combo in combinations(range(n), r)]
-    cands.sort()
+    cands = sorted(_subset_masks((1 << n) - 1, r))
     first = cands[0]  # the basis {1..r}
     for extra in _exchange_families((first,), cands[1:]):
         yield (first, *extra)
@@ -317,6 +316,10 @@ def _coverage_degrees(tok: str, ln: int) -> range:
         raise ParseError(f"non-integer coverage token {tok!r}", line=ln)
     if int(lo) > int(hi):
         raise ParseError(f"reversed coverage range {tok!r}", line=ln)
+    if int(hi) > MAX_ELEMENTS:
+        raise ParseError(
+            f"coverage token {tok!r} exceeds the {MAX_ELEMENTS}-element limit", line=ln
+        )
     return range(int(lo), int(hi) + 1)
 
 

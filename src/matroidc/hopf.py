@@ -70,11 +70,10 @@ def coproduct(v: ClassVector) -> ClassVector:
             m = key.matroid()
             n = m.n
             for smask in range(1 << n):
-                elements = [i + 1 for i in range(n) if smask >> i & 1]
-                left = normalize(m.restrict(elements))
+                left = normalize(m.minor(0, m.full_mask & ~smask))
                 if left is None:
                     continue
-                right = normalize(m.contract_set(elements))
+                right = normalize(m.minor(smask, 0))
                 if right is None:
                     continue
                 sign = _shuffle_sign(smask, n) * left[1] * right[1]

@@ -1,7 +1,11 @@
 """Matroids stored as basis families over a bitmask ground set.
 
 Elements are 1..n and element j occupies bit j-1 of a basis mask, so a
-basis family is a strictly sorted tuple of n-bit integers.  All operations
+basis family is a strictly sorted tuple of n-bit integers, and it is the
+only representation: independent sets are the subsets of bases, and every
+circuit is the fundamental circuit of an element outside some basis.  Every
+deletion, contraction, restriction and minor comes from one kernel,
+`Matroid.minor`, which takes one pass over the bases.  All operations
 return new Matroid values; nothing is mutated after construction.  The
 bitmask width is capped at 16 elements, which covers every census this
 engine is expected to ingest.
@@ -24,12 +28,6 @@ from .errors import (
 )
 
 MAX_ELEMENTS = 16
-
-
-def _compress_bit(mask: int, i: int) -> int:
-    """Drop bit position i from mask, shifting higher bits down."""
-    low = mask & ((1 << i) - 1)
-    return low | ((mask >> (i + 1)) << i)
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -78,7 +76,7 @@ def check_exchange(bases: tuple[int, ...]) -> None:
 class Matroid:
     """A matroid on ground set [n] given by its basis family."""
 
-    __slots__ = ("n", "r", "bases", "_hash", "_indep")
+    __slots__ = ("n", "r", "bases", "_hash")
 
     def __init__(self, n: int, r: int, bases: tuple[int, ...]):
         # Internal constructor: trusts its arguments.  Use from_bases for
@@ -87,7 +85,6 @@ class Matroid:
         self.r = r
         self.bases = bases
         self._hash = hash((n, r, bases))
-        self._indep = None
 
     def __eq__(self, other):
         return (
@@ -134,142 +131,91 @@ class Matroid:
         return self.loops_mask() == 0
 
     def is_simple(self) -> bool:
-        if self.loops_mask():
-            return False
-        for x, y in combinations(range(self.n), 2):
-            pair = (1 << x) | (1 << y)
-            if not any(b & pair == pair for b in self.bases):
-                return False
-        return True
+        return not self.loops_mask() and not self.has_parallel_pair()
 
     def has_parallel_pair(self) -> bool:
-        lp = self.loops_mask()
-        for x, y in combinations(range(self.n), 2):
-            pair = (1 << x) | (1 << y)
-            if pair & lp:
-                continue
-            if not any(b & pair == pair for b in self.bases):
-                return True
-        return False
+        """Whether two non-loops lie in no common basis."""
+        ground = self.full_mask & ~self.loops_mask()
+        return any(
+            not any(b & pair == pair for b in self.bases)
+            for pair in _subset_masks(ground, 2)
+        )
 
     def has_series_pair(self) -> bool:
         return self.dual().has_parallel_pair()
 
     # -- independence ----------------------------------------------------
 
-    def _indep_table(self) -> bytearray:
-        """Indicator over all 2^n subsets; built by downward closure."""
-        tab = self._indep
-        if tab is None:
-            tab = bytearray(1 << self.n)
-            stack = list(self.bases)
-            for b in stack:
-                tab[b] = 1
-            while stack:
-                m = stack.pop()
-                mm = m
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    sub = m ^ b
-                    if not tab[sub]:
-                        tab[sub] = 1
-                        stack.append(sub)
-            self._indep = tab
-        return tab
-
-    def is_independent(self, subset_mask: int) -> bool:
-        return bool(self._indep_table()[subset_mask])
-
     def rank_of(self, subset_mask: int) -> int:
         # Maximal independent subsets of S all arise as B & S for a basis B.
         return max((b & subset_mask).bit_count() for b in self.bases)
 
     def independent_sets(self, size: int) -> list[int]:
-        tab = self._indep_table()
-        return [
-            m
-            for m in _subset_masks(self.n, size)
-            if tab[m]
-        ]
+        """The independent sets of the given size, in _subset_masks order;
+        they are the subsets of bases."""
+        found = {s for b in self.bases for s in _subset_masks(b, size)}
+        return [s for s in _subset_masks(self.full_mask, size) if s in found]
 
     def circuits(self) -> set[int]:
-        """All inclusion-minimal dependent sets, as masks."""
-        tab = self._indep_table()
+        """All circuits, as masks.
+
+        Each is the fundamental circuit of some basis B and element e outside
+        it: e together with every b in B for which B - b + e is a basis.
+        """
+        family = set(self.bases)
         out = set()
-        for size in range(1, self.r + 2):
-            for m in _subset_masks(self.n, size):
-                if tab[m]:
-                    continue
-                mm = m
-                minimal = True
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    if not tab[m ^ b]:
-                        minimal = False
-                        break
-                if minimal:
-                    out.add(m)
+        for basis in self.bases:
+            inside = [1 << i for i in _bit_positions(basis)]
+            for i in _bit_positions(self.full_mask & ~basis):
+                e = 1 << i
+                out.add(sum(b for b in inside if (basis ^ b | e) in family) | e)
         return out
 
-    # -- deletion / contraction / duality ---------------------------------
+    # -- minors / duality ----------------------------------------------------
 
-    def _check_element(self, x: int) -> None:
-        if not 1 <= x <= self.n:
-            raise ElementOutOfRange(f"element {x} not in [{self.n}]")
+    def minor(self, contract: int, delete: int) -> "Matroid":
+        """M / C \\ D for disjoint element masks C and D.
 
-    def delete(self, x: int) -> "Matroid":
-        self._check_element(x)
-        i = x - 1
-        bit = 1 << i
-        if self.coloops_mask() & bit:
-            new = sorted({_compress_bit(b & ~bit, i) for b in self.bases})
-            return Matroid(self.n - 1, self.r - 1, tuple(new))
-        new = sorted({_compress_bit(b, i) for b in self.bases if not b & bit})
-        return Matroid(self.n - 1, self.r, tuple(new))
-
-    def contract(self, x: int) -> "Matroid":
-        self._check_element(x)
-        i = x - 1
-        bit = 1 << i
-        if self.loops_mask() & bit:
-            new = sorted({_compress_bit(b, i) for b in self.bases})
-            return Matroid(self.n - 1, self.r, tuple(new))
-        new = sorted({_compress_bit(b & ~bit, i) for b in self.bases if b & bit})
-        return Matroid(self.n - 1, self.r - 1, tuple(new))
+        The bases of M / C are B - C for the bases B meeting C in rank_of(C)
+        elements; deleting D then keeps the largest of their cuts to the
+        remaining elements.  Those are squeezed down to bits 0, 1, ...
+        """
+        full = self.full_mask
+        if (contract | delete) & ~full or contract & delete:
+            raise ElementOutOfRange(
+                f"masks {contract:#x} and {delete:#x} are not disjoint subsets of [{self.n}]"
+            )
+        keep = full & ~(contract | delete)
+        bases = self.bases
+        if contract:
+            k = self.rank_of(contract)
+            bases = [b for b in bases if (b & contract).bit_count() == k]
+        cuts = {b & keep for b in bases}
+        r = max(map(int.bit_count, cuts))
+        if delete:
+            cuts = [c for c in cuts if c.bit_count() == r]
+        return Matroid(keep.bit_count(), r, _squeeze(cuts, keep))
 
     def _element_mask(self, elements) -> int:
         mask = 0
         for x in elements:
-            self._check_element(x)
+            if not 1 <= x <= self.n:
+                raise ElementOutOfRange(f"element {x} not in [{self.n}]")
             mask |= 1 << (x - 1)
         return mask
 
-    def contract_set(self, elements) -> "Matroid":
-        """Contract a set of elements.
+    def delete(self, x: int) -> "Matroid":
+        return self.minor(0, self._element_mask((x,)))
 
-        The bases of M/T are B - T for the bases B meeting T in a basis of
-        T, i.e. in rank_of(T) elements.
-        """
-        drop = self._element_mask(elements)
-        k = self.rank_of(drop)
-        keep = self.full_mask & ~drop
-        bases = _squeeze(
-            (b & keep for b in self.bases if (b & drop).bit_count() == k), keep
-        )
-        return Matroid(keep.bit_count(), self.r - k, bases)
+    def contract(self, x: int) -> "Matroid":
+        return self.minor(self._element_mask((x,)), 0)
 
     def restrict(self, elements) -> "Matroid":
-        """Restriction to a subset, i.e. deletion of its complement.
+        """Restriction to a subset, i.e. deletion of its complement."""
+        return self.minor(0, self.full_mask & ~self._element_mask(elements))
 
-        The bases of M|S are the sets B & S of largest size, rank_of(S).
-        """
-        keep = self._element_mask(elements)
-        cuts = {b & keep for b in self.bases}
-        k = max(map(int.bit_count, cuts))
-        bases = _squeeze([c for c in cuts if c.bit_count() == k], keep)
-        return Matroid(keep.bit_count(), k, bases)
+    def contract_set(self, elements) -> "Matroid":
+        return self.minor(self._element_mask(elements), 0)
 
     def dual(self) -> "Matroid":
         full = self.full_mask
@@ -323,13 +269,11 @@ class Matroid:
             return
         d = self.n - k - n_target
         for cmask in self.independent_sets(k):
-            contracted = self.contract_set(
-                [i + 1 for i in _bit_positions(cmask)]
-            )
-            for dele in combinations(range(contracted.n, 0, -1), d):
-                m = contracted
-                for x in dele:
-                    m = m.delete(x)
+            contracted = self.minor(cmask, 0)
+            # highest labels first: has_minor stops at its first match, so
+            # this order fixes how many minors it tests
+            for dmask in _subset_masks(contracted.full_mask, d, descending=True):
+                m = contracted.minor(0, dmask)
                 if m.r == r_target:
                     yield m
 
@@ -365,12 +309,14 @@ class Matroid:
         return _property_cached(self, "cographic")
 
 
-def _subset_masks(n: int, size: int):
-    for combo in combinations(range(n), size):
-        m = 0
-        for i in combo:
-            m |= 1 << i
-        yield m
+def _subset_masks(ground: int, size: int, descending: bool = False):
+    """The size-element subsets of the mask `ground`, in the order
+    itertools.combinations takes them from its elements listed ascending
+    (or descending)."""
+    bits = [1 << i for i in _bit_positions(ground)]
+    if descending:
+        bits.reverse()
+    return map(sum, combinations(bits, size))
 
 
 # -- validated constructors ----------------------------------------------
@@ -401,7 +347,7 @@ def uniform(r: int, n: int) -> Matroid:
         raise InvalidRank(f"uniform({r},{n}) needs 0 <= r <= n")
     if n > MAX_ELEMENTS:
         raise BitOutOfRange(f"ground set size {n} outside 0..{MAX_ELEMENTS}")
-    return Matroid(n, r, tuple(sorted(_subset_masks(n, r))))
+    return Matroid(n, r, tuple(sorted(_subset_masks((1 << n) - 1, r))))
 
 
 EMPTY = Matroid(0, 0, (0,))
@@ -461,20 +407,15 @@ def graphic(g: Graph) -> Matroid:
             comps -= 1
     rank = g.v - comps
     bases = []
-    for combo in combinations(range(ne), rank):
+    for m in _subset_masks((1 << ne) - 1, rank):
         p = list(range(g.v + 1))
-        ok = True
-        for i in combo:
+        for i in _bit_positions(m):
             a, b = g.edges[i]
             ra, rb = find(p, a), find(p, b)
             if ra == rb:
-                ok = False
                 break
             p[rb] = ra
-        if ok:
-            m = 0
-            for i in combo:
-                m |= 1 << i
+        else:
             bases.append(m)
     return Matroid(ne, rank, tuple(sorted(bases)))
 
@@ -507,13 +448,11 @@ def from_f2_matrix(rows) -> Matroid:
         return len(pivots)
 
     rank = f2_rank(cols)
-    bases = []
-    for combo in combinations(range(width), rank):
-        if f2_rank([cols[j] for j in combo]) == rank:
-            m = 0
-            for j in combo:
-                m |= 1 << j
-            bases.append(m)
+    bases = [
+        m
+        for m in _subset_masks((1 << width) - 1, rank)
+        if f2_rank([cols[j] for j in _bit_positions(m)]) == rank
+    ]
     return Matroid(width, rank, tuple(sorted(bases)))
 
 

@@ -189,6 +189,19 @@ def test_malformed_directive_exits_as_parse_error(tmp_path, capsys):
         assert code == 3 and "(line 2)" in err
 
 
+def test_coverage_beyond_the_element_limit_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "wide.mtrd"
+    for token in ("0-40", "17", "0-3000000"):
+        p.write_text(f"MTRD 1\n# coverage: {token}\n1 1 1 1\n")
+        code, out, err = run(capsys, "ingest-check", "--source", str(p))
+        assert code == 3 and out == ""
+        assert f"coverage token '{token}' exceeds the 16-element limit (line 2)" in err
+    # the limit itself is accepted, and ingest-check reports it
+    p.write_text("MTRD 1\n# coverage: 0-16\n1 1 1 1\n")
+    code, out, _ = run(capsys, "ingest-check", "--source", str(p))
+    assert code == 0 and "degree 16: 0 classes" in out
+
+
 def test_bidegree_query(capsys):
     code, out, _ = run(
         capsys,

@@ -3,7 +3,7 @@
 import pytest
 
 from matroidc import complexes
-from matroidc.canonical import canonical_key
+from matroidc.canonical import canonical_key, has_odd_automorphism
 from matroidc.classes import ClassVector
 from matroidc.cli import main
 from matroidc.complexes import (
@@ -27,7 +27,7 @@ from matroidc.complexes import (
 from matroidc.enumerate import EnumeratorSource
 from matroidc.errors import InvalidSpec, PropertyNotDualityStable, SourceIncomplete
 from matroidc.linalg import RankPolicy, SparseIntMatrix, rank_exact
-from matroidc.matroid import EMPTY, complete_graph, graphic, uniform
+from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
 
 
 def test_spec_parsing():
@@ -101,6 +101,20 @@ def test_apply_differential_examples():
     assert apply_differential(K.LP, ClassVector.of(uniform(0, 1))) == unit
     assert apply_differential(K.CON, ClassVector.of(uniform(1, 1))) == unit
     assert apply_differential(K.DEL_TOT, ClassVector.of(uniform(0, 1))) == unit
+
+
+def test_odd_wheel_classes_are_cycles():
+    # the cycle half of the odd-wheel conjecture: for odd g the class of
+    # M(W_g) is nonzero and both differentials kill it; for even g an odd
+    # automorphism makes the class itself zero
+    for g in (3, 4, 5, 6):
+        m = graphic(wheel(g))
+        assert has_odd_automorphism(m) == (g % 2 == 0), g
+        if g % 2:
+            v = ClassVector.of(m)
+            assert not v.is_zero()
+            assert apply_differential(K.DEL, v).is_zero()
+            assert apply_differential(K.CON, v).is_zero()
 
 
 def test_differential_matrix_degree_one(source):

@@ -203,6 +203,8 @@ def test_mtrd_coverage_ranges(tmp_path):
         ("# coverage: 3-", "half-open coverage range '3-'"),
         ("# coverage: -3", "half-open coverage range '-3'"),
         ("# coverage: 9-8", "reversed coverage range '9-8'"),
+        ("# coverage: 0-17", "coverage token '0-17' exceeds the 16-element limit"),
+        ("# coverage: 3 40", "coverage token '40' exceeds the 16-element limit"),
         ("# property: simple regualr", "unknown property tag 'regualr'"),
     ],
 )

@@ -21,6 +21,7 @@ from matroidc.matroid import (
     EMPTY,
     _excluded_minors,
     Graph,
+    Matroid,
     complete_graph,
     fano,
     from_bases,
@@ -82,6 +83,44 @@ def f2_independent(cols):
     return rank == len(cols)
 
 
+def _compress_bit(mask, i):
+    """Drop bit position i from mask, shifting higher bits down."""
+    return mask & ((1 << i) - 1) | (mask >> (i + 1)) << i
+
+
+def delete_one(m, x):
+    """M \\ x by the single-element rule, independent of Matroid.minor."""
+    i = x - 1
+    bit = 1 << i
+    if m.coloops_mask() & bit:
+        bases = {_compress_bit(b & ~bit, i) for b in m.bases}
+        return Matroid(m.n - 1, m.r - 1, tuple(sorted(bases)))
+    bases = {_compress_bit(b, i) for b in m.bases if not b & bit}
+    return Matroid(m.n - 1, m.r, tuple(sorted(bases)))
+
+
+def contract_one(m, x):
+    """M / x by the single-element rule, independent of Matroid.minor."""
+    i = x - 1
+    bit = 1 << i
+    if m.loops_mask() & bit:
+        bases = {_compress_bit(b, i) for b in m.bases}
+        return Matroid(m.n - 1, m.r, tuple(sorted(bases)))
+    bases = {_compress_bit(b & ~bit, i) for b in m.bases if b & bit}
+    return Matroid(m.n - 1, m.r - 1, tuple(sorted(bases)))
+
+
+def minor_one_at_a_time(m, contract, delete):
+    """M / C \\ D one element at a time, highest label first, so the labels
+    still to be removed do not move."""
+    for x in range(m.n, 0, -1):
+        if contract >> (x - 1) & 1:
+            m = contract_one(m, x)
+        elif delete >> (x - 1) & 1:
+            m = delete_one(m, x)
+    return m
+
+
 def slow_exchange_ok(bases):
     """Definition-level (B2) check on frozensets."""
     fam = [frozenset(i for i in range(16) if b >> i & 1) for b in bases]
@@ -94,6 +133,10 @@ def slow_exchange_ok(bases):
                 if not any((s - {x}) | {y} in fam_set for y in t - s):
                     return False
     return True
+
+
+def same(a, b):
+    return (a.n, a.r, a.bases) == (b.n, b.r, b.bases)
 
 
 # -- constructors --------------------------------------------------------------
@@ -244,22 +287,44 @@ def test_contract_set_order_independent():
 
 
 def test_restrict_and_contract_set_match_single_element_route():
-    # the one-pass routes against deleting or contracting one element at a
-    # time, for every class with n <= 6 and every subset
+    # the one-pass kernel against deleting or contracting one element at a
+    # time by the single-element rule, for every class with n <= 6 and every
+    # subset
     for n in range(0, 7):
         for m in enumerate_all(n):
+            full = (1 << n) - 1
+            for x in range(1, n + 1):
+                assert same(m.delete(x), delete_one(m, x))
+                assert same(m.contract(x), contract_one(m, x))
             for smask in range(1 << n):
                 elements = [x for x in range(1, n + 1) if smask >> (x - 1) & 1]
-                deleted = m
-                for x in range(n, 0, -1):
-                    if x not in elements:
-                        deleted = deleted.delete(x)
-                contracted = m
-                for x in sorted(elements, reverse=True):
-                    contracted = contracted.contract(x)
-                for got, want in ((m.restrict(elements), deleted),
-                                  (m.contract_set(elements), contracted)):
-                    assert (got.n, got.r, got.bases) == (want.n, want.r, want.bases)
+                assert same(m.restrict(elements), minor_one_at_a_time(m, 0, full & ~smask))
+                assert same(m.contract_set(elements), minor_one_at_a_time(m, smask, 0))
+
+
+def test_minor_matches_single_element_route():
+    # every pair of disjoint contraction and deletion sets, n <= 5
+    for n in range(0, 6):
+        for m in enumerate_all(n):
+            for cmask in range(1 << n):
+                rest = ((1 << n) - 1) & ~cmask
+                dmask = rest
+                while True:
+                    got = m.minor(cmask, dmask)
+                    assert same(got, minor_one_at_a_time(m, cmask, dmask))
+                    if not dmask:
+                        break
+                    dmask = (dmask - 1) & rest
+
+
+def test_minor_checks_its_masks():
+    m = uniform(2, 4)
+    for contract, delete in ((1 << 4, 0), (0, 1 << 4), (-1, 0), (0, -2),
+                             (mask(1, 2), mask(2, 3)), (mask(4), mask(4))):
+        with pytest.raises(ElementOutOfRange):
+            m.minor(contract, delete)
+    assert m.minor(0, 0) == m
+    assert m.minor(mask(1), mask(2)) == uniform(1, 2)
 
 
 def test_restrict_and_contract_set_check_elements():
@@ -346,6 +411,27 @@ def test_circuits_examples():
     assert all(c.bit_count() in (3, 4) for c in k4_circuits)
 
 
+def test_circuits_and_independent_sets_match_rank_oracle():
+    # circuits are the minimal sets S with rank_of(S) < |S|; the independent
+    # k-sets are the k-subsets of bases, in combinations order
+    for n in range(0, 7):
+        for m in enumerate_all(n):
+
+            def dependent(s):
+                return m.rank_of(s) < s.bit_count()
+
+            minimal = {
+                s for s in range(1 << n)
+                if dependent(s)
+                and not any(dependent(s & ~(1 << i)) for i in range(n) if s >> i & 1)
+            }
+            assert m.circuits() == minimal, m.bases
+            for k in range(n + 2):
+                subsets = [mask(*c) for c in combinations(range(1, n + 1), k)]
+                want = [s for s in subsets if any(s & b == s for b in m.bases)]
+                assert m.independent_sets(k) == want, (m.bases, k)
+
+
 def test_components_examples():
     two = uniform(1, 1).direct_sum(uniform(1, 1))
     assert two.components() == [{1}, {2}]
@@ -365,6 +451,37 @@ def test_components_reassemble():
 
 
 # -- minors and representability -----------------------------------------------------
+
+
+def test_minors_in_chained_deletion_order():
+    # has_minor stops at the first match, so the order of minors is part of
+    # its cost: contracted independent sets in combinations order, then
+    # deletions of the highest labels first, one element at a time
+    def chained(m, n_target, r_target):
+        k = m.r - r_target
+        if k < 0 or n_target < 0 or n_target > m.n - k:
+            return []
+        out = []
+        for c in combinations(range(1, m.n + 1), k):
+            if m.rank_of(mask(*c)) < k:
+                continue
+            contracted = minor_one_at_a_time(m, mask(*c), 0)
+            for dele in combinations(range(contracted.n, 0, -1), contracted.n - n_target):
+                x = contracted
+                for e in dele:
+                    x = delete_one(x, e)
+                if x.r == r_target:
+                    out.append(x)
+        return out
+
+    for n in range(0, 6):
+        for m in enumerate_all(n):
+            for n_target in range(-1, n + 1):
+                for r_target in range(-1, n + 1):
+                    got = list(m.minors(n_target, r_target))
+                    want = chained(m, n_target, r_target)
+                    assert [x.bases for x in got] == [x.bases for x in want]
+                    assert got == want
 
 
 def test_has_minor_examples():
