@@ -10,8 +10,9 @@ element at a time, comparing the block of newly determined indicator bits
 against the best known labeling and pruning:
 
   * candidates whose block falls below the incumbent are cut immediately;
-  * candidates equivalent to an already-explored sibling under a discovered
-    automorphism (fixing the chosen prefix pointwise) are skipped.
+  * candidates in the orbit of an already-explored sibling under the
+    discovered automorphisms fixing the chosen prefix pointwise are skipped;
+    `matroid._partition_roots` gives those orbits.
 
 Every fully-equal leaf yields an automorphism, and the set discovered this
 way generates the whole group, so after the search we know both the
@@ -32,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations
 
-from .matroid import Matroid
+from .matroid import Matroid, _partition_roots
 
 Permutation = tuple[int, ...]  # images of 1..n, 1-based
 
@@ -139,18 +140,26 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     """
     combos_by_depth = [_colex_combos(d, r - 1) if r >= 1 else () for d in range(n)]
 
+    def blocks(order, depth: int, elements) -> list[tuple[int, int]]:
+        """(-block, e) for each e in elements given label `depth` after `order`."""
+        orvals = []
+        for combo in combos_by_depth[depth]:
+            mm = 0
+            for p in combo:
+                mm |= 1 << order[p]
+            orvals.append(mm)
+        out = []
+        for e in elements:
+            obit = 1 << e
+            val = 0
+            for mm in orvals:
+                val = (val << 1) | (1 if (mm | obit) in bases_set else 0)
+            out.append((-val, e))
+        return out
+
     # Seed the incumbent with the identity labeling; it is a genuine leaf,
     # so equality against it already certifies an automorphism.
-    best: list[int] = []
-    for depth in range(n):
-        obit = 1 << depth
-        val = 0
-        for combo in combos_by_depth[depth]:
-            mm = obit
-            for p in combo:
-                mm |= 1 << p
-            val = (val << 1) | (1 if mm in bases_set else 0)
-        best.append(val)
+    best = [-blocks(range(n), depth, (depth,))[0][0] for depth in range(n)]
 
     best_witness = list(range(n))  # 0-based: element i -> label best_witness[i]
     autos: list[tuple[int, ...]] = []
@@ -179,55 +188,13 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                         odd = True
             return
 
-        combos = combos_by_depth[depth]
-        orvals = []
-        for combo in combos:
-            mm = 0
-            for p in combo:
-                mm |= 1 << order[p]
-            orvals.append(mm)
-
-        cands = []
-        for e in range(n):
-            if used[e]:
-                continue
-            obit = 1 << e
-            val = 0
-            for mm in orvals:
-                val = (val << 1) | (1 if (mm | obit) in bases_set else 0)
-            cands.append((-val, e))
+        cands = blocks(order, depth, [e for e in range(n) if not used[e]])
         cands.sort()
 
-        done: list[int] = []
-        uf: list[int] | None = None
-        uf_autos = -1
-
-        def same_orbit(a: int, b: int) -> bool:
-            nonlocal uf, uf_autos
-            if not autos:
-                return False
-            if uf is None or uf_autos != len(autos):
-                parent = list(range(n))
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                prefix = order[:depth]
-                for psi in autos:
-                    if all(psi[e] == e for e in prefix):
-                        for x in range(n):
-                            rx, ry = find(x), find(psi[x])
-                            if rx != ry:
-                                parent[ry] = rx
-                uf = [0] * n
-                for x in range(n):
-                    uf[x] = find(x)
-                uf_autos = len(autos)
-            return uf[a] == uf[b]
-
+        # Orbit roots under the found automorphisms fixing the prefix, taken
+        # once a second sibling passes and again when automorphisms arrive.
+        tried: set[int] = set()
+        roots, rooted = range(n), 0  # rooted: len(autos) when roots was taken
         for negval, e in cands:
             val = -negval
             if len(best) > depth:
@@ -238,9 +205,16 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                 # First descent after an improvement shallower up: no
                 # reference exists yet at this depth.
                 improved = True
-            if any(same_orbit(e, d) for d in done):
+            if tried and rooted != len(autos):
+                roots = _partition_roots(n, chain.from_iterable(
+                    enumerate(psi) for psi in autos if all(psi[p] == p for p in order)
+                ))
+                rooted = len(autos)
+                tried = {roots[t] for t in tried}
+            root = roots[e]
+            if root in tried:
                 continue
-            done.append(e)
+            tried.add(root)
             if improved:
                 del best[depth:]
                 best.append(val)
@@ -266,25 +240,12 @@ _representatives: dict[Matroid, _CanonResult] = {}
 
 @lru_cache(maxsize=None)
 def _canon(m: Matroid) -> _CanonResult:
-    n, r = m.n, m.r
-    if n == 0:
-        key = CanonicalKey(0, 0, (0,), False)
-        return _CanonResult(key, (), [])
-    if r == 0 or r == n:
-        # All-loop or all-coloop matroids: a single basis, full symmetric
-        # automorphism group.
-        masks = (0,) if r == 0 else ((1 << n) - 1,)
-        gens = []
-        if n >= 2:
-            gens = [_adjacent_transposition(n, i) for i in range(n - 1)]
-        key = CanonicalKey(n, r, masks, n >= 2)
-        return _CanonResult(key, perm_identity(n), gens)
     stored = _representatives.pop(m, None)
     if stored is not None:
         return stored
-    witness, odd, autos = _search(n, r, frozenset(m.bases))
+    witness, odd, autos = _search(m.n, m.r, frozenset(m.bases))
     canon = relabel(m, witness)
-    key = CanonicalKey(n, r, canon.bases, odd)
+    key = CanonicalKey(m.n, m.r, canon.bases, odd)
     gens = [tuple(v + 1 for v in psi) for psi in autos]
     if canon != m:
         # sigma maps Aut(m) onto Aut(canon) by conjugation: psi fixes the
@@ -292,16 +253,10 @@ def _canon(m: Matroid) -> _CanonResult:
         inv = perm_inverse(witness)
         _representatives[canon] = _CanonResult(
             key,
-            perm_identity(n),
+            perm_identity(m.n),
             [perm_compose(witness, perm_compose(g, inv)) for g in gens],
         )
     return _CanonResult(key, witness, gens)
-
-
-def _adjacent_transposition(n: int, i: int) -> Permutation:
-    p = list(range(1, n + 1))
-    p[i], p[i + 1] = p[i + 1], p[i]
-    return tuple(p)
 
 
 def canonical_form(m: Matroid) -> tuple[CanonicalKey, Permutation]:
@@ -353,26 +308,3 @@ def iso_witness(m1: Matroid, m2: Matroid) -> Permutation | None:
     if r1.key != r2.key:
         return None
     return perm_compose(perm_inverse(r2.witness), r1.witness)
-
-
-# -- independent oracles -------------------------------------------------
-
-
-def automorphisms_bruteforce(m: Matroid) -> list[Permutation]:
-    """All automorphisms by scanning every permutation; small n only."""
-    base_set = set(m.bases)
-    out = []
-    for p in permutations(range(1, m.n + 1)):
-        if all(apply_perm_mask(b, p) in base_set for b in m.bases):
-            out.append(p)
-    return out
-
-
-def has_odd_automorphism_bruteforce(m: Matroid) -> bool:
-    base_set = set(m.bases)
-    for p in permutations(range(1, m.n + 1)):
-        if perm_sign(p) == 1:
-            continue
-        if all(apply_perm_mask(b, p) in base_set for b in m.bases):
-            return True
-    return False

@@ -4,8 +4,10 @@ Production enumeration grows degree n from degree n-1 by single-element
 extension.  Every matroid on [n] is an extension of its deletion of element
 n, so the children of all classes on [n-1] cover every class on [n].  Only
 the first child of each orbit under the parent's automorphism generators is
-canonically labelled; the rest are isomorphic to it.  A direct backtracking
-search over basis families is kept as an independent oracle for n <= 6.
+canonically labelled; the rest are isomorphic to it.  The orbits are the
+classes of `matroid._partition_roots` over the pairs (child, its image under
+a generator).  A direct backtracking search over basis families is kept as
+an independent oracle for n <= 6.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .matroid import (
     MAX_ELEMENTS,
     Matroid,
     _bit_positions,
+    _partition_roots,
     _subset_masks,
     from_bases,
     from_f2_matrix,
@@ -165,25 +168,16 @@ def _orbit_representatives(parent: Matroid):
     ebit = 1 << n
     children = extend_by_element(parent)
     added = [frozenset(b for b in child.bases if b & ebit) for child in children]
+    index = {fam: i for i, fam in enumerate(added)}
     masks = frozenset().union(*added)
-    images = [
-        {b: apply_perm_mask(b, g + (n + 1,)) for b in masks}
-        for g in automorphism_generators(parent)
-    ]
-    covered: set = set()
-    for child, fam in zip(children, added):
-        if fam in covered:
-            continue
-        covered.add(fam)
-        frontier = [fam]
-        while frontier:
-            member = frontier.pop()
-            for image_of in images:
-                image = frozenset(map(image_of.__getitem__, member))
-                if image not in covered:
-                    covered.add(image)
-                    frontier.append(image)
-        yield child
+    pairs = []
+    for g in automorphism_generators(parent):
+        image_of = {b: apply_perm_mask(b, g + (n + 1,)) for b in masks}.__getitem__
+        pairs += [(i, index[frozenset(map(image_of, fam))]) for i, fam in enumerate(added)]
+    roots = _partition_roots(len(children), pairs)
+    for i, child in enumerate(children):
+        if roots[i] == i:
+            yield child
 
 
 def _extension_step(parents) -> tuple[Matroid, ...]:
@@ -432,7 +426,10 @@ def parse_f2db(path: str) -> FileSource:
         if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("ragged block", line=start)
         matrix = [[int(ch) for ch in row] for row in rows]
-        records.append((start, from_f2_matrix(matrix)))
+        try:
+            records.append((start, from_f2_matrix(matrix)))
+        except MatroidError as exc:
+            raise ParseError(f"invalid record: {exc}", line=start) from None
     return _file_source(path, comments, records)
 
 

@@ -255,7 +255,6 @@ def default_primes(count: int = 3, seed: int = 0x6D74726F) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class ModularRank:
     value: int
-    per_prime: tuple[int, ...]
     agree: bool
     certified: bool
 
@@ -277,7 +276,7 @@ def rank_modular(mat: SparseIntMatrix, primes) -> ModularRank:
         and mat.max_abs() <= 1
         and min(mat.rows, mat.cols) < min(primes)
     )
-    return ModularRank(max(ranks), ranks, agree, certified)
+    return ModularRank(max(ranks), agree, certified)
 
 
 # -- Betti bookkeeping ---------------------------------------------------------
@@ -313,12 +312,6 @@ class BettiTable:
 
     def to_csv(self) -> str:
         return "\n".join([BETTI_CSV_HEADER] + [row.csv() for row in self.rows]) + "\n"
-
-    def betti(self, n: int, r: int | None = None) -> int:
-        for row in self.rows:
-            if row.n == n and (r is None or row.r == r):
-                return row.betti
-        raise KeyError((n, r))
 
     def __iter__(self):
         return iter(self.rows)

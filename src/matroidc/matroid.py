@@ -48,12 +48,31 @@ def _squeeze(masks, keep: int) -> tuple[int, ...]:
     blocks: dict[int, int] = {}
     for dest, pos in enumerate(_bit_positions(keep)):
         blocks[pos - dest] = blocks.get(pos - dest, 0) | 1 << dest
-    if len(blocks) == 1:
-        (shift,) = blocks
-        return tuple(sorted({b >> shift for b in masks}))
-    return tuple(sorted({
-        sum((b >> shift) & block for shift, block in blocks.items()) for b in masks
-    }))
+    masks = list(masks)
+    out = [0] * len(masks)
+    for shift, block in blocks.items():
+        out = [o | (b >> shift) & block for o, b in zip(out, masks)]
+    return tuple(sorted(set(out)))
+
+
+def _partition_roots(n: int, pairs) -> list[int]:
+    """For each point of range(n), the smallest member of its class in the
+    finest partition that joins both points of every pair."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    return [find(x) for x in range(n)]
 
 
 def check_exchange(bases: tuple[int, ...]) -> None:
@@ -237,24 +256,13 @@ class Matroid:
         Elements are related when they lie in a common circuit; loops and
         coloops end up as singletons.
         """
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for c in self.circuits():
-            bits = _bit_positions(c)
-            for b in bits[1:]:
-                ra, rb = find(bits[0]), find(b)
-                if ra != rb:
-                    parent[rb] = ra
+        roots = _partition_roots(self.n, (
+            ((c & -c).bit_length() - 1, b) for c in self.circuits() for b in _bit_positions(c)
+        ))
         groups: dict[int, set[int]] = {}
-        for i in range(self.n):
-            groups.setdefault(find(i), set()).add(i + 1)
-        return sorted(groups.values(), key=min)
+        for i, root in enumerate(roots):
+            groups.setdefault(root, set()).add(i + 1)
+        return list(groups.values())
 
     def is_connected(self) -> bool:
         """Per the convention here, the empty matroid is not connected."""
@@ -391,32 +399,17 @@ def graphic(g: Graph) -> Matroid:
     ne = len(g.edges)
     if ne > MAX_ELEMENTS:
         raise BitOutOfRange(f"too many edges ({ne}) for the mask width")
-    parent = list(range(g.v + 1))
 
-    def find(p, a):
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
+    def classes(edges) -> int:
+        # vertex 0 is unused, so it is always a class of its own
+        return len(set(_partition_roots(g.v + 1, edges)))
 
-    comps = g.v
-    for a, b in g.edges:
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[rb] = ra
-            comps -= 1
-    rank = g.v - comps
-    bases = []
-    for m in _subset_masks((1 << ne) - 1, rank):
-        p = list(range(g.v + 1))
-        for i in _bit_positions(m):
-            a, b = g.edges[i]
-            ra, rb = find(p, a), find(p, b)
-            if ra == rb:
-                break
-            p[rb] = ra
-        else:
-            bases.append(m)
+    rank = g.v + 1 - classes(g.edges)
+    bases = [
+        m
+        for m in _subset_masks((1 << ne) - 1, rank)
+        if classes([g.edges[i] for i in _bit_positions(m)]) == g.v + 1 - rank
+    ]
     return Matroid(ne, rank, tuple(sorted(bases)))
 
 

@@ -7,11 +7,9 @@ from matroidc.canonical import (
     apply_perm_mask,
     automorphism_generators,
     automorphism_group,
-    automorphisms_bruteforce,
     canonical_form,
     canonical_key,
     has_odd_automorphism,
-    has_odd_automorphism_bruteforce,
     iso_witness,
     perm_compose,
     perm_identity,
@@ -21,6 +19,7 @@ from matroidc.canonical import (
 )
 from matroidc.enumerate import enumerate_all
 from matroidc.matroid import EMPTY, complete_graph, graphic, uniform
+from oracles import automorphisms_bruteforce, has_odd_automorphism_bruteforce
 
 
 def test_perm_sign():
@@ -102,6 +101,34 @@ def test_generated_group_is_complete():
     for n in range(1, 6):
         for m in enumerate_all(n):
             assert len(automorphism_group(m)) == len(automorphisms_bruteforce(m))
+
+
+def test_single_basis_classes_go_through_the_search(monkeypatch):
+    from math import factorial
+
+    from matroidc import canonical
+
+    _clear_canonical_caches()
+    calls = []
+    search = canonical._search
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(canonical, "_search", counting)
+    for n in range(0, 9):
+        for m in (uniform(0, n), uniform(n, n)):
+            key, witness = canonical_form(m)
+            assert key.masks == m.bases and witness == perm_identity(n)
+            assert key.odd_auto == (n >= 2)
+            for g in automorphism_generators(m):
+                assert {apply_perm_mask(b, g) for b in m.bases} == set(m.bases)
+            if n <= 5:
+                assert len(automorphism_group(m)) == factorial(n)
+    assert len(calls) == 17  # U(0,0) == U(0,0); every other class searched once
+    monkeypatch.setattr(canonical, "_search", search)
+    _clear_canonical_caches()
 
 
 def test_iso_witness():

@@ -189,6 +189,14 @@ def test_malformed_directive_exits_as_parse_error(tmp_path, capsys):
         assert code == 3 and "(line 2)" in err
 
 
+def test_f2db_record_error_names_its_line(tmp_path, capsys):
+    p = tmp_path / "wide.f2db"
+    p.write_text("# coverage: 17\n" + "1" * 17 + "\n")
+    code, out, err = run(capsys, "ingest-check", "--source", str(p))
+    assert code == 3 and out == ""
+    assert "too many columns (17) for the mask width (line 2)" in err
+
+
 def test_coverage_beyond_the_element_limit_is_a_parse_error(tmp_path, capsys):
     p = tmp_path / "wide.mtrd"
     for token in ("0-40", "17", "0-3000000"):

@@ -112,6 +112,38 @@ def test_pruning_skips_isomorphic_children():
     assert {canonical_key(m) for m in kept} == {canonical_key(m) for m in children}
 
 
+def bfs_orbit_representatives(parent):
+    """The first child of each orbit, found by a breadth-first search over the
+    images of each child's added bases under the parent's generators."""
+    n = parent.n
+    ebit = 1 << n
+    children = extend_by_element(parent)
+    generators = [g + (n + 1,) for g in automorphism_generators(parent)]
+    covered = set()
+    kept = []
+    for child in children:
+        fam = frozenset(b for b in child.bases if b & ebit)
+        if fam in covered:
+            continue
+        covered.add(fam)
+        frontier = [fam]
+        while frontier:
+            member = frontier.pop()
+            for g in generators:
+                image = frozenset(apply_perm_mask(b, g) for b in member)
+                if image not in covered:
+                    covered.add(image)
+                    frontier.append(image)
+        kept.append(child)
+    return kept
+
+
+def test_orbit_representatives_match_bfs():
+    for n in range(0, 6):
+        for parent in enumerate_all(n):
+            assert list(_orbit_representatives(parent)) == bfs_orbit_representatives(parent)
+
+
 def test_degree_limit():
     with pytest.raises(DegreeTooLarge):
         enumerate_all(8)

@@ -20,6 +20,7 @@ from matroidc.errors import (
 from matroidc.matroid import (
     EMPTY,
     _excluded_minors,
+    _partition_roots,
     Graph,
     Matroid,
     complete_graph,
@@ -42,9 +43,10 @@ def mask(*elements):
 # -- oracles -----------------------------------------------------------------
 
 
-def count_spanning_forests(graph, size):
-    """Union-find forest counter, independent of graphic()."""
-    count = 0
+def spanning_forests(graph, size):
+    """Masks of the size-edge sets without a cycle, each grown edge by edge in
+    a union-find that stops at the first cycle; independent of graphic()."""
+    out = []
     for combo in combinations(range(len(graph.edges)), size):
         parent = list(range(graph.v + 1))
 
@@ -54,16 +56,39 @@ def count_spanning_forests(graph, size):
                 a = parent[a]
             return a
 
-        ok = True
         for i in combo:
             a, b = graph.edges[i]
             ra, rb = find(a), find(b)
             if ra == rb:
-                ok = False
                 break
             parent[rb] = ra
-        count += ok
-    return count
+        else:
+            out.append(sum(1 << i for i in combo))
+    return sorted(out)
+
+
+def partition_classes(n, pairs):
+    """Connected components of the graph on range(n) with the pairs as edges,
+    by breadth-first search."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = set()
+    classes = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, frontier = [start], [start]
+        while frontier:
+            for y in adjacent[frontier.pop(0)]:
+                if y not in seen:
+                    seen.add(y)
+                    component.append(y)
+                    frontier.append(y)
+        classes.add(frozenset(component))
+    return classes
 
 
 def f2_independent(cols):
@@ -192,8 +217,16 @@ def test_uniform():
 def test_graphic_k4():
     k4 = graphic(complete_graph(4))
     assert (k4.n, k4.r) == (6, 3)
-    assert len(k4.bases) == count_spanning_forests(complete_graph(4), 3) == 16
+    assert len(k4.bases) == len(spanning_forests(complete_graph(4), 3)) == 16
     assert k4.loops() == set() and k4.coloops() == set()
+
+
+def test_graphic_matches_forest_oracle():
+    k33 = Graph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+    for g in (wheel(3), wheel(4), wheel(5), wheel(6), complete_graph(4), complete_graph(5), k33):
+        m = graphic(g)
+        assert m.r == g.v - 1  # every one of these graphs is connected
+        assert list(m.bases) == spanning_forests(g, m.r), g
 
 
 def test_graphic_loop_edge():
@@ -430,6 +463,18 @@ def test_circuits_and_independent_sets_match_rank_oracle():
                 subsets = [mask(*c) for c in combinations(range(1, n + 1), k)]
                 want = [s for s in subsets if any(s & b == s for b in m.bases)]
                 assert m.independent_sets(k) == want, (m.bases, k)
+
+
+def test_partition_roots_match_bfs_components():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randrange(13)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+        roots = _partition_roots(n, pairs)
+        classes = partition_classes(n, pairs)
+        assert {frozenset(x for x in range(n) if roots[x] == root) for root in roots} == classes
+        for cls in classes:
+            assert {roots[x] for x in cls} == {min(cls)}, (n, pairs)
 
 
 def test_components_examples():
