@@ -3,7 +3,6 @@
 from .canonical import (
     CanonicalKey,
     automorphism_generators,
-    automorphism_group,
     canonical_form,
     canonical_key,
     has_odd_automorphism,
@@ -21,7 +20,6 @@ from .complexes import (
     dims_table,
     dualize_basis_map,
     homology_table,
-    mu_sign,
 )
 from .enumerate import (
     EnumeratorSource,

@@ -278,22 +278,6 @@ def automorphism_generators(m: Matroid) -> list[Permutation]:
     return list(_canon(m).generators)
 
 
-def automorphism_group(m: Matroid) -> list[Permutation]:
-    """The full automorphism group, closed over the generating set."""
-    gens = automorphism_generators(m)
-    ident = perm_identity(m.n)
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            gh = perm_compose(h, g)
-            if gh not in group:
-                group.add(gh)
-                frontier.append(gh)
-    return sorted(group)
-
-
 def iso_witness(m1: Matroid, m2: Matroid) -> Permutation | None:
     """A basis-preserving bijection m1 -> m2, or None.
 

@@ -253,6 +253,14 @@ def main(argv=None) -> int:
     except (InvalidSpec, PropertyNotDualityStable) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_SOURCE
+    except OSError as exc:
+        # only a failure to open --out is a request error; anything else
+        # is a fault and keeps its traceback
+        out = getattr(args, "out", None)
+        if out is None or exc.filename != out:
+            raise
+        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_SOURCE
     except MatroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

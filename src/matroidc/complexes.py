@@ -229,18 +229,6 @@ def apply_differential(kind: DifferentialKind, v: ClassVector) -> ClassVector:
     )
 
 
-def mu_sign(m: Matroid, x: int, target: CanonicalKey) -> int:
-    """Relabeling sign identifying m\\x with the chosen representative.
-
-    Zero when the deletion is not isomorphic to the target.  Well-defined
-    whenever the target has no odd automorphism.
-    """
-    nz = normalize(m.delete(x))
-    if nz is None or nz[0] != target:
-        return 0
-    return nz[1]
-
-
 @lru_cache(maxsize=None)
 def differential_matrix(
     kind: DifferentialKind, n: int, spec: ComplexSpec, source

@@ -2,18 +2,22 @@
 
 Production enumeration grows degree n from degree n-1 by single-element
 extension.  Every matroid on [n] is an extension of its deletion of element
-n, so the children of all classes on [n-1] cover every class on [n].  Only
-the first child of each orbit under the parent's automorphism generators is
-canonically labelled; the rest are isomorphic to it.  The orbits are the
-classes of `matroid._partition_roots` over the pairs (child, its image under
-a generator).  A direct backtracking search over basis families is kept as
-an independent oracle for n <= 6.
+n, so the children of all classes on [n-1] cover every class on [n].  A
+parent's extensions other than the coloop are in bijection with the linear
+subclasses of its hyperplanes (Crapo 1965), which a depth-first search over
+the hyperplanes lists.  Only the first child of each orbit under the
+parent's automorphism generators is canonically labelled; the rest are
+isomorphic to it.  The orbits are the classes of `matroid._partition_roots`
+over the pairs (child, its image under a generator).  A direct search over
+basis families, driven by the labelled exchange backtracker, is kept as an
+independent oracle for n <= 6.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import combinations
 
 from .canonical import apply_perm_mask, automorphism_generators, canonical_key
 from .complexes import PROPERTY_TAGS
@@ -135,22 +139,81 @@ def enumerate_direct(n: int) -> list[Matroid]:
     ))
 
 
+def _hyperplanes(m: Matroid) -> tuple[list[int], list[int], list[int]]:
+    """The independent (r-1)-sets of m ascending, the hyperplanes of m, and
+    for each set the index of its closure among the hyperplanes.
+
+    The closure of I is I with every x for which I + x is not a basis.
+    Hyperplanes are numbered in order of their first independent set.
+    """
+    if m.r == 0:
+        return [], [], []
+    family = set(m.bases)
+    sets = sorted(m.independent_sets(m.r - 1))
+    index: dict[int, int] = {}
+    owner = []
+    for s in sets:
+        flat = s | sum(1 << x for x in _bit_positions(m.full_mask & ~s)
+                       if s | 1 << x not in family)
+        owner.append(index.setdefault(flat, len(index)))
+    return sets, list(index), owner
+
+
+def _linear_subclasses(m: Matroid, hyperplanes: list[int]):
+    """Yield every linear subclass of the hyperplanes as a bitmask of indices.
+
+    Two hyperplanes whose meet has rank r - 2 are a modular pair, and the
+    meet is a coline; every two hyperplanes over a coline meet in it.  A
+    linear subclass holds either at most one hyperplane over each coline or
+    all of them (Crapo 1965; Oxley section 7.2).  Hyperplanes are decided in
+    index order, each first left out and then put in, and a branch dies as
+    soon as some coline has two hyperplanes in and one out.
+    """
+    rank_of_meet = {}
+    for a, b in combinations(hyperplanes, 2):
+        if a & b not in rank_of_meet:
+            rank_of_meet[a & b] = m.rank_of(a & b)
+    over = ([k for k, h in enumerate(hyperplanes) if h & c == c]
+            for c, rank in rank_of_meet.items() if rank == m.r - 2)
+    # a coline under only two hyperplanes constrains nothing
+    lines = [sum(1 << k for k in ks) for ks in over if len(ks) > 2]
+    count = len(hyperplanes)
+    lines_through = [[line for line in lines if line >> k & 1] for k in range(count)]
+    stack = [(0, 0, 0)]
+    while stack:
+        k, inside, out = stack.pop()
+        if k == count:
+            yield inside
+            continue
+        through = lines_through[k]
+        # pushed first, so popped after the branch that leaves hyperplane k out
+        if not any(line & inside and line & out for line in through):
+            stack.append((k + 1, inside | 1 << k, out))
+        if all((line & inside).bit_count() < 2 for line in through):
+            stack.append((k + 1, inside, out | 1 << k))
+
+
 def extend_by_element(m: Matroid) -> list[Matroid]:
     """All matroids on [n+1] whose deletion of element n+1 gives m.
 
-    The new element is a coloop, a loop (empty choice below), or joins
-    bases through independent (r-1)-sets of m filtered by the exchange
-    backtracker.
+    The coloop comes first.  Every other extension puts the new element on
+    the hyperplanes of one linear subclass (Crapo 1965): I + (n+1) is a
+    basis exactly when the closure of the independent (r-1)-set I is outside
+    the subclass.  All hyperplanes give the loop and none the free
+    extension.  Children come in descending order of the vector that marks
+    which independent (r-1)-sets, taken ascending, gain the new element;
+    that order decides which child of each orbit is canonically labelled.
     """
     n, r = m.n, m.r
     if n + 1 > MAX_ELEMENTS:
         raise DegreeTooLarge(f"cannot extend beyond {MAX_ELEMENTS} elements")
     ebit = 1 << n
     out = [m.direct_sum(Matroid(1, 1, (1,)))]  # coloop extension
-    cands = sorted(s | ebit for s in m.independent_sets(r - 1)) if r >= 1 else []
-    for extra in _exchange_families(m.bases, cands):
-        fam = tuple(sorted(m.bases + extra))
-        out.append(Matroid(n + 1, r, fam))
+    sets, hyperplanes, owner = _hyperplanes(m)
+    for inside in _linear_subclasses(m, hyperplanes):
+        # new bases hold bit n, so they sort after every basis of m
+        extra = tuple(s | ebit for s, h in zip(sets, owner) if not inside >> h & 1)
+        out.append(Matroid(n + 1, r, m.bases + extra))
     return out
 
 
@@ -202,7 +265,9 @@ def enumerate_by_extension(n: int) -> list[Matroid]:
 def enumerate_all(n: int) -> tuple[Matroid, ...]:
     """One canonical representative per isomorphism class on [n], n <= 7."""
     if n < 0 or n > ENUMERATION_LIMIT:
-        raise DegreeTooLarge(f"built-in enumeration stops at n={ENUMERATION_LIMIT}")
+        raise DegreeTooLarge(
+            f"built-in enumeration covers n in 0..{ENUMERATION_LIMIT}, not n={n}"
+        )
     if n == 0:
         return (EMPTY,)
     return _extension_step(enumerate_all(n - 1))

@@ -51,11 +51,6 @@ class SparseIntMatrix:
     def triples(self):
         return sorted((i, j, v) for (i, j), v in self.entries.items())
 
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def compose(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         """Matrix product self @ other."""
         if self.cols != other.rows:

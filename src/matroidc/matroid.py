@@ -76,19 +76,29 @@ def _partition_roots(n: int, pairs) -> list[int]:
 
 
 def check_exchange(bases: tuple[int, ...]) -> None:
-    """Raise ExchangeViolation unless the family satisfies axiom (B2)."""
+    """Raise ExchangeViolation unless the family satisfies axiom (B2).
+
+    For each basis s and element i of s, `wit` holds i and every j for
+    which s - i + j is a basis.  A basis t fails exchange with s at i
+    exactly when it meets none of them.  Pairs are tried in the order
+    (s, t, i), so the first violation reported is the first in that order.
+    """
     family = set(bases)
+    ground = 0
+    for b in bases:
+        ground |= b
     for s in bases:
+        wits = []
+        for i in _bit_positions(s):
+            base = s & ~(1 << i)
+            wit = 1 << i
+            for j in _bit_positions(ground & ~s):
+                if base | 1 << j in family:
+                    wit |= 1 << j
+            wits.append((i, wit))
         for t in bases:
-            if s == t:
-                continue
-            rest = t & ~s
-            for i in _bit_positions(s & ~t):
-                base = s & ~(1 << i)
-                for j in _bit_positions(rest):
-                    if (base | (1 << j)) in family:
-                        break
-                else:
+            for i, wit in wits:
+                if not t & wit:
                     raise ExchangeViolation(s, t, i + 1)
 
 
@@ -159,9 +169,6 @@ class Matroid:
             not any(b & pair == pair for b in self.bases)
             for pair in _subset_masks(ground, 2)
         )
-
-    def has_series_pair(self) -> bool:
-        return self.dual().has_parallel_pair()
 
     # -- independence ----------------------------------------------------
 

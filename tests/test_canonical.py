@@ -6,7 +6,6 @@ from itertools import permutations
 from matroidc.canonical import (
     apply_perm_mask,
     automorphism_generators,
-    automorphism_group,
     canonical_form,
     canonical_key,
     has_odd_automorphism,
@@ -19,7 +18,12 @@ from matroidc.canonical import (
 )
 from matroidc.enumerate import enumerate_all
 from matroidc.matroid import EMPTY, complete_graph, graphic, uniform
-from oracles import automorphisms_bruteforce, has_odd_automorphism_bruteforce
+from oracles import (
+    automorphism_group,
+    automorphisms_bruteforce,
+    has_odd_automorphism_bruteforce,
+    has_series_pair,
+)
 
 
 def test_perm_sign():
@@ -169,7 +173,7 @@ def test_vanishing_patterns_force_odd_autos():
         for m in enumerate_all(n):
             if (
                 m.has_parallel_pair()
-                or m.has_series_pair()
+                or has_series_pair(m)
                 or len(m.loops()) >= 2
                 or len(m.coloops()) >= 2
             ):

@@ -122,6 +122,27 @@ def test_enumerate_roundtrip(tmp_path, capsys):
     assert len(src.representatives(4)) == 17
 
 
+@pytest.mark.parametrize("argv", [
+    ("dims", "--spec", "simple", "--max-n", "3", "--out"),
+    ("enumerate", "--n", "3", "--out"),
+])
+def test_unwritable_out_is_a_source_error(argv, tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, str(missing))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+    code, _, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2 and err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("n", ["-1", "8"])
+def test_enumerate_degree_outside_the_builtin_range(n, tmp_path, capsys):
+    code, _, err = run(capsys, "enumerate", "--n", n, "--out", str(tmp_path / "x.mtrd"))
+    assert code == 2
+    assert err == f"source error: built-in enumeration covers n in 0..7, not n={n}\n"
+    assert not (tmp_path / "x.mtrd").exists()
+
+
 def test_export_matrix(capsys):
     code, out, _ = run(capsys, "export-matrix", "--kind", "del", "--n", "1")
     assert code == 0

@@ -17,7 +17,6 @@ from matroidc.complexes import (
     dims_table,
     dualize_basis_map,
     homology_table,
-    mu_sign,
     parse_kind,
     verify_anticommute,
     verify_bidegrees,
@@ -28,6 +27,7 @@ from matroidc.enumerate import EnumeratorSource
 from matroidc.errors import InvalidSpec, PropertyNotDualityStable, SourceIncomplete
 from matroidc.linalg import RankPolicy, SparseIntMatrix, rank_exact
 from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
+from oracles import mu_sign
 
 
 def test_spec_parsing():

@@ -1,11 +1,16 @@
 """Generation routes, dedup, and census-file parsing."""
 
+from itertools import combinations
+
 import pytest
 
 from matroidc.canonical import apply_perm_mask, automorphism_generators, canonical_key
 from matroidc.enumerate import (
     EnumeratorSource,
+    _exchange_families,
     _extension_step,
+    _hyperplanes,
+    _linear_subclasses,
     _orbit_representatives,
     enumerate_all,
     enumerate_by_extension,
@@ -22,7 +27,7 @@ from matroidc.errors import (
     ParseError,
     SourceIncomplete,
 )
-from matroidc.matroid import EMPTY, check_exchange, uniform
+from matroidc.matroid import EMPTY, Matroid, check_exchange, uniform
 
 
 def test_direct_counts_small():
@@ -91,6 +96,62 @@ def test_automorphism_generators_preserve_bases():
             bases = set(m.bases)
             for g in automorphism_generators(m):
                 assert {apply_perm_mask(b, g) for b in m.bases} == bases, (m, g)
+
+
+def backtracker_extensions(m):
+    """extend_by_element's earlier route: the coloop, then every family of
+    independent (r-1)-sets plus the new element that the labelled exchange
+    backtracker accepts, in its include-first order."""
+    ebit = 1 << m.n
+    out = [m.direct_sum(uniform(1, 1))]
+    cands = sorted(s | ebit for s in m.independent_sets(m.r - 1)) if m.r else []
+    for extra in _exchange_families(m.bases, cands):
+        out.append(Matroid(m.n + 1, m.r, tuple(sorted(m.bases + extra))))
+    return out
+
+
+def test_extensions_match_the_exchange_backtracker_in_order():
+    for n in range(0, 7):
+        for parent in enumerate_all(n):
+            got = [(c.n, c.r, c.bases) for c in extend_by_element(parent)]
+            assert got == [(c.n, c.r, c.bases) for c in backtracker_extensions(parent)], parent
+
+
+def test_linear_subclasses_match_bruteforce():
+    # hyperplanes are the maximal sets of rank r-1; a set of them is a linear
+    # subclass when it holds every hyperplane over the meet of any modular
+    # pair it holds
+    for n in range(0, 6):
+        for m in enumerate_all(n):
+            sets, hyperplanes, owner = _hyperplanes(m)
+            ground = range(1 << n)
+            assert set(hyperplanes) == {
+                x for x in ground
+                if m.r and m.rank_of(x) == m.r - 1
+                and all(m.rank_of(x | 1 << e) == m.r for e in range(n) if not x >> e & 1)
+            }
+            assert all(s & ~hyperplanes[h] == 0 for s, h in zip(sets, owner))
+            pairs = [
+                (a, b, [k for k, h in enumerate(hyperplanes) if h & ha & hb == ha & hb])
+                for (a, ha), (b, hb) in combinations(enumerate(hyperplanes), 2)
+                if m.rank_of(ha & hb) == m.r - 2
+            ]
+            brute = [
+                inside for inside in range(1 << len(hyperplanes))
+                if all(inside >> k & 1 for a, b, over in pairs
+                       if inside >> a & 1 and inside >> b & 1 for k in over)
+            ]
+            assert sorted(_linear_subclasses(m, hyperplanes)) == brute, m
+
+
+def test_extensions_are_matroids_that_delete_to_the_parent():
+    for n in range(0, 7):
+        for parent in enumerate_all(n):
+            children = extend_by_element(parent)
+            assert len(set(children)) == len(children)
+            for child in children:
+                check_exchange(child.bases)
+                assert child.delete(n + 1) == parent
 
 
 def test_pruned_step_keeps_every_child_class():
@@ -324,11 +385,6 @@ def test_source_coverage_errors():
 def test_exchange_backtracker_matches_bruteforce():
     # every subset of candidate extension bases accepted by the backtracker,
     # and only those, passes the definition-level exchange check
-    from itertools import combinations
-
-    from matroidc.enumerate import _exchange_families
-    from matroidc.errors import ExchangeViolation
-
     def brute(fixed, cands):
         out = set()
         for k in range(len(cands) + 1):

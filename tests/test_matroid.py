@@ -23,6 +23,7 @@ from matroidc.matroid import (
     _partition_roots,
     Graph,
     Matroid,
+    check_exchange,
     complete_graph,
     fano,
     from_bases,
@@ -31,6 +32,7 @@ from matroidc.matroid import (
     uniform,
     wheel,
 )
+from oracles import check_exchange_pairwise
 
 
 def mask(*elements):
@@ -200,6 +202,33 @@ def test_from_bases_errors():
     # {1,2} and {3,4} cannot exchange x=1
     with pytest.raises(ExchangeViolation):
         from_bases(4, 2, [mask(1, 2), mask(3, 4)])
+
+
+def exchange_outcome(check, bases):
+    try:
+        check(bases)
+    except ExchangeViolation as exc:
+        return exc.args, exc.s_mask, exc.t_mask, exc.x
+    return None
+
+
+def test_check_exchange_matches_the_pairwise_reference():
+    # matroids, matroids with one basis dropped, and random families; the
+    # first violation must be the one the pairwise loop finds
+    rng = random.Random(2)
+    families = []
+    for n in range(6):
+        for m in enumerate_all(n):
+            families.append(m.bases)
+            families += [m.bases[:k] + m.bases[k + 1:] for k in range(1, len(m.bases))]
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        r = rng.randint(1, n - 1)
+        subsets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+        families.append(tuple(sorted(rng.sample(subsets, rng.randint(1, len(subsets))))))
+    got = [exchange_outcome(check_exchange, f) for f in families]
+    assert got == [exchange_outcome(check_exchange_pairwise, f) for f in families]
+    assert got.count(None) > 500 and len(got) - got.count(None) > 500
 
 
 def test_uniform():
