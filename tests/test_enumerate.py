@@ -99,9 +99,10 @@ def test_automorphism_generators_preserve_bases():
 
 
 def backtracker_extensions(m):
-    """extend_by_element's earlier route: the coloop, then every family of
-    independent (r-1)-sets plus the new element that the labelled exchange
-    backtracker accepts, in its include-first order."""
+    """The extensions of m as the labelled exchange backtracker lists them:
+    the coloop, then every family of independent (r-1)-sets plus the new
+    element that keeps basis exchange, in the backtracker's include-first
+    order."""
     ebit = 1 << m.n
     out = [m.direct_sum(uniform(1, 1))]
     cands = sorted(s | ebit for s in m.independent_sets(m.r - 1)) if m.r else []
@@ -124,9 +125,8 @@ def test_linear_subclasses_match_bruteforce():
     for n in range(0, 6):
         for m in enumerate_all(n):
             sets, hyperplanes, owner = _hyperplanes(m)
-            ground = range(1 << n)
             assert set(hyperplanes) == {
-                x for x in ground
+                x for x in range(1 << n)
                 if m.r and m.rank_of(x) == m.r - 1
                 and all(m.rank_of(x | 1 << e) == m.r for e in range(n) if not x >> e & 1)
             }
