@@ -23,7 +23,7 @@ from .errors import (
     PropertyNotDualityStable,
     SourceIncomplete,
 )
-from .linalg import RankPolicy, default_primes, write_matrix_market
+from .linalg import RankPolicy, write_matrix_market
 from .matroid import MAX_ELEMENTS
 
 EXIT_OK = 0
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, kind=True)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--exact", action="store_true", help="force exact ranks")
-    p.add_argument("--primes", type=int, default=3, help="modular prime count")
     p.add_argument(
         "--bidegree",
         default=None,
@@ -104,10 +103,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _policy(args) -> RankPolicy:
-    return RankPolicy(exact=args.exact, primes=default_primes(max(args.primes, 1)))
-
-
 def cmd_dims(args) -> int:
     spec = ComplexSpec.parse(args.spec)
     source = _get_source(args)
@@ -126,7 +121,7 @@ def cmd_homology(args) -> int:
     spec = ComplexSpec.parse(args.spec)
     kind = parse_kind(args.kind)
     source = _get_source(args)
-    policy = _policy(args)
+    policy = RankPolicy(exact=args.exact)
     if args.bidegree:
         try:
             n, r = (int(t) for t in args.bidegree.split(","))
@@ -172,8 +167,7 @@ def cmd_verify(args) -> int:
             rep.extend(hopf.verify_leibniz(kind, max_n, source))
         for kind in K:
             if kind.removes != "all":
-                side = hopf.coderivation_side(kind)
-                rep.extend(hopf.verify_coderivation(kind, side, max_n, source))
+                rep.extend(hopf.verify_coderivation(kind, max_n, source))
     elif args.suite == "homotopy":
         for kind, gen in (
             (K.DEL, "loop"),

@@ -317,25 +317,6 @@ def verify_anticommute(
     return rep
 
 
-def verify_bidegrees(max_n: int, source) -> Report:
-    """Each single kind lowers the grade it does not keep, on every basis class."""
-    rep = Report([])
-    for kind in DifferentialKind:
-        if kind.grade_kept is None:
-            continue
-        dk, dr = (-1, 0) if kind.grade_kept == "rank" else (0, -1)
-        ok = True
-        for n in range(1, max_n + 1):
-            for key in chain_basis(n, ALL, source).keys:
-                k0, r0 = key.bidegree
-                image = apply_differential(kind, ClassVector({key: 1}))
-                for ckey in image.terms:
-                    if ckey.bidegree != (k0 + dk, r0 + dr):
-                        ok = False
-        rep.record(ok, f"bidegree {kind.value}", f"n<={max_n}")
-    return rep
-
-
 def dualize_basis_map(
     n: int, spec: ComplexSpec, source, dual_spec: ComplexSpec | None = None
 ) -> SparseIntMatrix:
@@ -406,31 +387,31 @@ def verify_duality(max_n: int, spec: ComplexSpec, source) -> Report:
 # -- homology ------------------------------------------------------------------
 
 
-def homology_table(
+def _betti_rows(
     spec: ComplexSpec,
     kind: DifferentialKind,
-    max_n: int,
+    lo: int,
+    hi: int,
     source,
-    policy: RankPolicy | None = None,
-) -> BettiTable:
-    """Betti numbers of the spec'd complex through degree max_n.
+    policy: RankPolicy | None,
+) -> list[BettiRow]:
+    """Betti rows for degrees lo..hi, built from the chain groups lo-1..hi+1.
 
     H_n needs the incoming boundary from degree n+1; when the source stops
-    at max_n the top row only carries an upper bound and is flagged so.
-    Every consecutive pair of matrices is checked for d∘d = 0 before it is
-    ranked; a failure raises SourceIncomplete naming a witness column.
+    at hi the top row only carries an upper bound and is flagged so.  Every
+    consecutive pair of the matrices ranked is checked for d∘d = 0 first; a
+    failure raises SourceIncomplete naming a witness column.
     """
     policy = policy or RankPolicy()
-    if not source.covers(max_n):
-        raise SourceIncomplete(f"source does not cover degree {max_n}")
-    have_top = source.covers(max_n + 1)
-    top = max_n + 1 if have_top else max_n
+    if not source.covers(hi):
+        raise SourceIncomplete(f"source does not cover degree {hi}")
+    top = hi + 1 if source.covers(hi + 1) else hi
 
-    dims = {n: chain_basis(n, spec, source).dim for n in range(0, top + 1)}
+    dims = {n: chain_basis(n, spec, source).dim for n in range(lo, top + 1)}
     mats = {
-        n: differential_matrix(kind, n, spec, source) for n in range(0, top + 1)
+        n: differential_matrix(kind, n, spec, source) for n in range(lo, top + 1)
     }
-    for n in range(1, top + 1):
+    for n in range(lo + 1, top + 1):
         prod = mats[n - 1].compose(mats[n])
         bad = _witness_column(prod, chain_basis(n, spec, source))
         if bad is not None:
@@ -445,7 +426,7 @@ def homology_table(
 
     slice_rank = spec.slice[1] if spec.slice and spec.slice[0] == "rank" else None
     rows = []
-    for n in range(0, max_n + 1):
+    for n in range(lo, hi + 1):
         rank_out, lab_out = ranks[n]
         rank_in, lab_in = ranks.get(n + 1, (None, None))
         betti = dims[n] - rank_out - (rank_in or 0)
@@ -469,7 +450,19 @@ def homology_table(
                 rank_out, rank_in, betti, certified,
             )
         )
-    return BettiTable(rows)
+    return rows
+
+
+def homology_table(
+    spec: ComplexSpec,
+    kind: DifferentialKind,
+    max_n: int,
+    source,
+    policy: RankPolicy | None = None,
+) -> BettiTable:
+    """Betti numbers of the spec'd complex through degree max_n; the top row
+    is an upper bound unless the source covers degree max_n+1."""
+    return BettiTable(_betti_rows(spec, kind, 0, max_n, source, policy))
 
 
 def betti_at_bidegree(
@@ -480,13 +473,16 @@ def betti_at_bidegree(
     source,
     policy: RankPolicy | None = None,
 ) -> BettiTable:
-    """Homology of the bigraded slice through (n, r): ground size n, rank r."""
+    """Homology of the bigraded slice through (n, r): ground size n, rank r.
+
+    Only the slice's chain groups at n-1, n and n+1 are built, so the source
+    need cover only those degrees; without n+1 the row is an upper bound.
+    """
     grade = kind.grade_kept
     if grade is None:
         raise InvalidSpec("bidegree slices need a single-bidegree differential")
     sliced = spec.with_slice((grade, r if grade == "rank" else n - r))
-    table = homology_table(sliced, kind, n, source, policy)
-    return BettiTable([row for row in table.rows if row.n == n])
+    return BettiTable(_betti_rows(sliced, kind, n, n, source, policy))
 
 
 def dims_table(spec: ComplexSpec, max_n: int, source) -> list[tuple[int, int, int]]:

@@ -412,10 +412,22 @@ def _file_source(path: str, comments, records) -> FileSource:
     return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
 
 
+def _read_lines(path: str) -> list[str]:
+    """A census file's lines; an unreadable or non-UTF-8 file is a ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8").splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read source file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not UTF-8 text", line=line) from None
+
+
 def parse_mtrd(path: str) -> FileSource:
     """MTRD v1: header 'MTRD 1', one record per line: n r k mask_1 .. mask_k."""
-    with open(path) as fh:
-        raw_lines = fh.read().splitlines()
+    raw_lines = _read_lines(path)
     if not raw_lines or raw_lines[0].split() != ["MTRD", "1"]:
         raise ParseError("missing MTRD 1 header", line=1)
     comments = []
@@ -463,8 +475,7 @@ def write_mtrd(path: str, matroids, coverage=None, tags=()) -> None:
 
 def parse_f2db(path: str) -> FileSource:
     """F2DB v1: blank-line-separated blocks of equal-length 0/1 rows."""
-    with open(path) as fh:
-        raw_lines = fh.read().splitlines()
+    raw_lines = _read_lines(path)
     comments = []
     blocks: list[list[str]] = []
     current: list[str] = []
@@ -507,8 +518,7 @@ def load_source(path: str) -> FileSource:
             resolved = os.path.join(dbdir, path)
         else:
             raise ParseError(f"no such source file: {path}")
-    with open(resolved) as fh:
-        head = fh.readline()
-    if head.split() == ["MTRD", "1"]:
+    head = _read_lines(resolved)[:1]
+    if head and head[0].split() == ["MTRD", "1"]:
         return parse_mtrd(resolved)
     return parse_f2db(resolved)

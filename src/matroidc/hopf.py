@@ -232,14 +232,11 @@ def coderivation_side(kind: DifferentialKind) -> str:
     return "right" if kind.operation == "delete" else "left"
 
 
-def verify_coderivation(kind: DifferentialKind, side: str, max_n: int, source) -> Report:
+def verify_coderivation(kind: DifferentialKind, max_n: int, source) -> Report:
     """One-sided co-Leibniz law on the side `coderivation_side` names; the
     right action carries the Koszul sign (-1)^|left factor|.
     """
-    if side not in ("left", "right"):
-        raise InvalidSpec(f"side must be left or right, got {side!r}")
-    if coderivation_side(kind) != side:
-        raise InvalidSpec(f"{kind.value} is not a {side} coderivation candidate")
+    side = coderivation_side(kind)
     rep = Report([])
     dk = lambda v: apply_differential(kind, v)
     for key in _basis_classes(max_n, source):

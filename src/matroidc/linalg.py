@@ -5,18 +5,15 @@ Pivots are chosen Markowitz-style (minimal fill, unit entries first), and
 rows are combined by integer cross-multiplication, so no rationals ever
 appear.  Over Q each new row is re-reduced by its gcd; over GF(p) its
 entries are reduced mod p.  There is no dense fallback: the chain groups
-are small and their matrices sparse.  The modular ranks, over word-size
-primes, are both a fast path and an independent check on the exact one.
+are small and their matrices sparse.  The modular ranks, over the three
+fixed 62-bit primes in `PRIMES`, are both a fast path and an independent
+check on the exact one.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
-
-from .errors import ParseError
 
 
 class SparseIntMatrix:
@@ -34,15 +31,6 @@ class SparseIntMatrix:
                     raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
                 if v:
                     self.entries[(i, j)] = int(v)
-
-    @classmethod
-    def from_triples(cls, rows, cols, triples):
-        e = {}
-        for i, j, v in triples:
-            if (i, j) in e:
-                raise ValueError(f"duplicate entry ({i},{j})")
-            e[(i, j)] = v
-        return cls(rows, cols, e)
 
     @property
     def nnz(self) -> int:
@@ -100,31 +88,6 @@ def write_matrix_market(mat: SparseIntMatrix, fh) -> None:
     fh.write(f"{mat.rows} {mat.cols} {mat.nnz}\n")
     for i, j, v in mat.triples():
         fh.write(f"{i + 1} {j + 1} {v}\n")
-
-
-def read_matrix_market(fh) -> SparseIntMatrix:
-    head = fh.readline().strip()
-    if head != MM_HEADER:
-        raise ParseError(f"unexpected Matrix Market header: {head!r}", line=1)
-    ln = 1
-    line = fh.readline()
-    ln += 1
-    while line.startswith("%"):
-        line = fh.readline()
-        ln += 1
-    toks = line.split()
-    if len(toks) != 3:
-        raise ParseError("expected 'rows cols nnz'", line=ln)
-    rows, cols, nnz = (int(t) for t in toks)
-    triples = []
-    for _ in range(nnz):
-        ln += 1
-        toks = fh.readline().split()
-        if len(toks) != 3:
-            raise ParseError("expected 'i j value'", line=ln)
-        i, j, v = int(toks[0]), int(toks[1]), int(toks[2])
-        triples.append((i - 1, j - 1, v))
-    return SparseIntMatrix.from_triples(rows, cols, triples)
 
 
 # -- elimination --------------------------------------------------------------
@@ -209,42 +172,9 @@ def rank_mod_p(mat: SparseIntMatrix, p: int) -> int:
 # -- modular rank -------------------------------------------------------------
 
 
-def _is_prime_64(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def default_primes(count: int = 3, seed: int = 0x6D74726F) -> tuple[int, ...]:
-    """Deterministic 62-bit primes; the fixed seed keeps output bytes stable."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        c = rng.getrandbits(62) | (1 << 61) | 1
-        while not _is_prime_64(c):
-            c += 2
-        if c not in out:
-            out.append(c)
-    return tuple(out)
+# Three distinct 62-bit primes.  They are constants so that no run depends on
+# a prime search; the tests check their primality.
+PRIMES = (2522243858249721719, 3911179900747682747, 2394233167496025809)
 
 
 @dataclass(frozen=True)
@@ -315,14 +245,13 @@ class BettiTable:
 class RankPolicy:
     """How ranks are computed: exact, or modular with exact confirmation."""
 
-    def __init__(self, exact: bool = False, primes=None):
+    def __init__(self, exact: bool = False):
         self.exact = exact
-        self.primes = tuple(primes) if primes else default_primes(3)
 
     def rank(self, mat: SparseIntMatrix) -> tuple[int, str]:
         if self.exact:
             return rank_exact(mat), "exact"
-        mr = rank_modular(mat, self.primes)
+        mr = rank_modular(mat, PRIMES)
         if mr.certified:
             return mr.value, "modular"
         return rank_exact(mat), "exact"

@@ -131,10 +131,6 @@ class Matroid:
     # -- basic invariants ------------------------------------------------
 
     @property
-    def nullity(self) -> int:
-        return self.n - self.r
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 

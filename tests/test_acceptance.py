@@ -44,7 +44,7 @@ from matroidc.hopf import (
     verify_leibniz,
     verify_unit_counit,
 )
-from matroidc.linalg import default_primes, rank_exact, rank_modular
+from matroidc.linalg import PRIMES, rank_exact, rank_modular
 from matroidc.matroid import complete_graph, graphic, wheel
 from oracles import has_odd_automorphism_bruteforce
 
@@ -185,10 +185,8 @@ def test_criterion_8_structural_suites(source):
     ok &= verify_bialgebra(5, source).ok
     for kind in K:
         ok &= verify_leibniz(kind, 5, source).ok
-    for kind in (K.DEL, K.CLP):
-        ok &= verify_coderivation(kind, "right", 5, source).ok
-    for kind in (K.CON, K.LP):
-        ok &= verify_coderivation(kind, "left", 5, source).ok
+    for kind in (K.DEL, K.CLP, K.CON, K.LP):
+        ok &= verify_coderivation(kind, 5, source).ok
     for kind, gen in (
         (K.DEL, "loop"),
         (K.DEL_TOT, "loop"),
@@ -207,16 +205,15 @@ def test_criterion_9_cross_oracles(source):
         for m in enumerate_all(n):
             if has_odd_automorphism(m) != has_odd_automorphism_bruteforce(m):
                 ok = False
-    primes = default_primes(3)
     for kind in K:
         for n in range(1, 8):
             mat = differential_matrix(kind, n, ALL, source)
-            mr = rank_modular(mat, primes)
+            mr = rank_modular(mat, PRIMES)
             ok &= mr.agree and mr.value == rank_exact(mat)
     for spec_name in ("simple", "loopless", "binary", "ternary", "regular"):
         for n in range(1, 8):
             mat = differential_matrix(K.DEL, n, ComplexSpec.parse(spec_name), source)
-            mr = rank_modular(mat, primes)
+            mr = rank_modular(mat, PRIMES)
             ok &= mr.agree and mr.value == rank_exact(mat)
     counts = [1, 2, 4, 8, 17, 38, 98, 306]
     ok &= [len(enumerate_all(n)) for n in range(0, 8)] == counts

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from matroidc.cli import main
-from matroidc.enumerate import parse_mtrd
+from matroidc.enumerate import enumerate_all, parse_mtrd, write_mtrd
 
 
 def run(capsys, *argv):
@@ -71,6 +71,7 @@ def test_homology_exact_flag(capsys):
     ("dims", "--exact"),
     ("verify", "--suite", "square", "--primes", "5"),
     ("export-matrix", "--n", "2", "--format", "mm"),
+    ("homology", "--primes", "3"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     # verify prints plain text, and only homology ranks matrices
@@ -242,6 +243,32 @@ def test_bidegree_query(capsys):
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert (row[2], row[3], row[7]) == ("6", "3", "1")
+
+
+@pytest.mark.parametrize("degrees, argv", [
+    (range(5, 8), ("--spec", "regular,simple,connected", "--kind", "del", "--bidegree", "6,3")),
+    (range(6, 8), ("--kind", "del", "--bidegree", "7,3")),
+    (range(1, 4), ("--kind", "con", "--bidegree", "2,1")),
+])
+def test_bidegree_needs_only_the_degrees_around_it(degrees, argv, tmp_path, capsys):
+    # a census of degrees n-1..n+1 answers (n, r) as the enumerator does; a
+    # census without n+1 gives the same upper_bound row
+    p = tmp_path / "band.mtrd"
+    write_mtrd(str(p), [m for n in degrees for m in enumerate_all(n)], coverage=degrees)
+    expect = run(capsys, "homology", *argv)
+    assert expect[0] == 0
+    assert run(capsys, "homology", "--source", str(p), *argv) == expect
+
+
+def test_unreadable_census_is_a_parse_error(tmp_path, capsys):
+    code, out, err = run(capsys, "dims", "--source", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == f"parse error: cannot read source file {tmp_path}: Is a directory\n"
+    p = tmp_path / "bin.mtrd"
+    p.write_bytes(b"MTRD 1\n1 1 1 1\n1 0 1 \xff\n")
+    code, out, err = run(capsys, "ingest-check", "--source", str(p))
+    assert code == 3 and out == ""
+    assert err == f"parse error: {p} is not UTF-8 text (line 3)\n"
 
 
 def test_bidegree_malformed(capsys):

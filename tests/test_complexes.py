@@ -19,7 +19,6 @@ from matroidc.complexes import (
     homology_table,
     parse_kind,
     verify_anticommute,
-    verify_bidegrees,
     verify_duality,
     verify_square_zero,
 )
@@ -27,7 +26,7 @@ from matroidc.enumerate import EnumeratorSource
 from matroidc.errors import InvalidSpec, PropertyNotDualityStable, SourceIncomplete
 from matroidc.linalg import RankPolicy, SparseIntMatrix, rank_exact
 from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
-from oracles import mu_sign
+from oracles import mu_sign, verify_bidegrees
 
 
 def test_spec_parsing():
@@ -287,18 +286,50 @@ def test_betti_at_bidegree_contraction_side(source):
 def test_homology_checks_square_zero_in_band(source, monkeypatch):
     # Dropping the signs of the total deletion differential d_2 breaks
     # d_1 d_2 = 0: the loop+coloop class then reaches the empty class twice.
+    # No rank or nullity slice through n <= 7 has three nonzero groups in a
+    # row, so a slice is broken by giving del's d_6 a row: on the (6,3)
+    # slice d_6 d_7 is then nonzero.
     exact = complexes.differential_matrix
 
-    def unsigned(kind, n, spec, src):
+    def broken(kind, n, spec, src):
         mat = exact(kind, n, spec, src)
+        if kind is K.DEL and n == 6:
+            return SparseIntMatrix(1, mat.cols, {(0, 0): 1})
         if n != 2:
             return mat
         return SparseIntMatrix(mat.rows, mat.cols, {p: abs(v) for p, v in mat.entries.items()})
 
-    monkeypatch.setattr(complexes, "differential_matrix", unsigned)
+    monkeypatch.setattr(complexes, "differential_matrix", broken)
     with pytest.raises(SourceIncomplete, match=r"kind del-tot, n=2: witness=Key\(n=2,"):
         homology_table(ALL, K.DEL_TOT, 3, source)
     assert verify_square_zero(K.DEL_TOT, 3, ALL, source).lines[1] == (
         "FAIL square-zero del-tot n=2 witness=Key(n=2,r=1,+,[1])"
     )
     assert main(["homology", "--kind", "del-tot", "--max-n", "3"]) == 2
+    with pytest.raises(SourceIncomplete, match=r"kind del, n=7: witness=Key\(n=7,r=3,"):
+        betti_at_bidegree(ALL, K.DEL, 6, 3, source)
+    assert main(["homology", "--kind", "del", "--bidegree", "6,3"]) == 2
+
+
+class RecordingSource(EnumeratorSource):
+    """The enumerator's classes, noting every degree it is asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = set()
+
+    def covers(self, n):
+        self.asked.add(n)
+        return super().covers(n)
+
+    def representatives(self, n):
+        self.asked.add(n)
+        return super().representatives(n)
+
+
+@pytest.mark.parametrize("kind, n, r", [(K.DEL, 6, 3), (K.CON, 2, 1), (K.LP, 6, 3)])
+def test_betti_at_bidegree_reads_only_three_degrees(source, kind, n, r):
+    src = RecordingSource()
+    rows = betti_at_bidegree(ALL, kind, n, r, src).rows
+    assert src.asked == {n - 1, n, n + 1}
+    assert rows == betti_at_bidegree(ALL, kind, n, r, source).rows

@@ -163,18 +163,17 @@ def test_leibniz_two_loops_vanish():
 
 
 def test_coderivations(source):
-    for kind in (K.DEL, K.CLP, K.DEL_TOT):
-        assert verify_coderivation(kind, "right", 5, source).ok
-    for kind in (K.CON, K.LP, K.CON_TOT):
-        assert verify_coderivation(kind, "left", 5, source).ok
-    with pytest.raises(InvalidSpec):
-        verify_coderivation(K.DEL, "left", 3, source)
+    for kinds, side in (((K.DEL, K.CLP, K.DEL_TOT), "right"), ((K.CON, K.LP, K.CON_TOT), "left")):
+        for kind in kinds:
+            rep = verify_coderivation(kind, 5, source)
+            assert rep.ok
+            assert rep.lines[0].startswith(f"PASS coderivation-{side} {kind.value} ")
 
 
 def test_coderivation_on_k4(source):
     # both sides vanish for K4 but only after the subset sums cancel
-    assert verify_coderivation(K.DEL, "right", 6, source).ok
-    assert verify_coderivation(K.CON, "left", 6, source).ok
+    assert verify_coderivation(K.DEL, 6, source).ok
+    assert verify_coderivation(K.CON, 6, source).ok
 
 
 def test_homotopy_examples():

@@ -8,17 +8,16 @@ import pytest
 
 from matroidc.linalg import (
     BETTI_CSV_HEADER,
+    PRIMES,
     BettiRow,
     BettiTable,
     SparseIntMatrix,
-    default_primes,
     rank_exact,
     rank_mod_p,
     rank_modular,
-    read_matrix_market,
     write_matrix_market,
 )
-from oracles import transpose
+from oracles import from_triples, is_prime_64, read_matrix_market, transpose
 
 # The displayed 2x18 deletion matrix from degree 7 to degree 6 of the full
 # complex, used as a frozen regression input.
@@ -119,7 +118,7 @@ def test_rank_mod_p_matches_dense_oracle(p):
 
 def test_rank_modular_identity_and_discrepancy():
     ident = SparseIntMatrix(3, 3, {(i, i): 1 for i in range(3)})
-    for p in default_primes(3):
+    for p in PRIMES:
         assert rank_mod_p(ident, p) == 3
     two = SparseIntMatrix(1, 1, {(0, 0): 2})
     assert rank_mod_p(two, 2) == 0  # designed undercount
@@ -131,19 +130,19 @@ def test_rank_modular_identity_and_discrepancy():
 def test_rank_modular_certification():
     m = dense_to_sparse(DISPLAYED_DEL)
     # entries up to 7 are not units: not certified even when primes agree
-    mr = rank_modular(m, default_primes(3))
+    mr = rank_modular(m, PRIMES)
     assert mr.value == 2 and mr.agree and not mr.certified
     unit_m = SparseIntMatrix(2, 2, {(0, 0): 1, (1, 1): -1})
-    assert rank_modular(unit_m, default_primes(3)).certified
+    assert rank_modular(unit_m, PRIMES).certified
 
 
-def test_default_primes_deterministic_62bit():
-    p1 = default_primes(4)
-    p2 = default_primes(4)
-    assert p1 == p2
-    assert len(set(p1)) == 4
-    for p in p1:
-        assert p.bit_length() == 62
+def test_primes_are_distinct_62bit_primes():
+    assert len(set(PRIMES)) == 3
+    for p in PRIMES:
+        assert p.bit_length() == 62 and is_prime_64(p)
+    # the oracle itself: small cases, a Carmichael number and 2**61 - 1
+    assert [n for n in range(30) if is_prime_64(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not is_prime_64(561) and is_prime_64(2**61 - 1)
 
 
 def test_matrix_ops():
@@ -154,7 +153,7 @@ def test_matrix_ops():
     with pytest.raises(ValueError):
         a.compose(SparseIntMatrix(3, 1))
     with pytest.raises(ValueError):
-        SparseIntMatrix.from_triples(2, 2, [(0, 0, 1), (0, 0, 2)])
+        from_triples(2, 2, [(0, 0, 1), (0, 0, 2)])
 
 
 def test_matrix_market_roundtrip():
