@@ -6,12 +6,19 @@ the sorted mask sequence is the same as maximizing the indicator vector of
 the basis family over all r-subsets taken in ascending mask order, and that
 ordering is colex: every r-subset of {1..t} precedes any r-subset touching
 an element beyond t.  The search therefore extends a partial relabeling one
-element at a time, comparing the block of newly determined indicator bits
-against the best known labeling and pruning:
+element at a time.  Giving label d to a candidate determines one block of
+indicator bits, one per (r-1)-subset of the prefix in colex order, and the
+search keeps only the candidates whose block is maximal:
 
-  * candidates whose block falls below the incumbent are cut immediately;
-  * candidates in the orbit of an already-explored sibling under the
-    discovered automorphisms fixing the chosen prefix pointwise are skipped;
+  * one colex pass per node finds them.  A table maps each (r-1)-set to the
+    mask of elements completing it to a basis; the pass keeps a mask of the
+    candidates still tied for the maximal block, narrows it at every subset
+    some of them complete, and writes a 1 there and a 0 elsewhere;
+  * the pass stops as soon as the block's prefix falls below the
+    incumbent's, which cuts the whole node;
+  * the maximal candidates are tried in ascending element order, skipping
+    any in the orbit of an already-explored sibling under the discovered
+    automorphisms fixing the chosen prefix pointwise;
     `matroid._partition_roots` gives those orbits.
 
 Every fully-equal leaf yields an automorphism, and the set discovered this
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .matroid import Matroid, _partition_roots
+from .matroid import Matroid, _bit_positions, _partition_roots
 
 Permutation = tuple[int, ...]  # images of 1..n, 1-based
 
@@ -140,26 +147,38 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     """
     combos_by_depth = [_colex_combos(d, r - 1) if r >= 1 else () for d in range(n)]
 
-    def blocks(order, depth: int, elements) -> list[tuple[int, int]]:
-        """(-block, e) for each e in elements given label `depth` after `order`."""
-        orvals = []
+    # completions[b - e]: the elements x for which (b - e) + x is a basis.
+    completions: dict[int, int] = {}
+    for b in bases_set:
+        for e in _bit_positions(b):
+            rest = b & ~(1 << e)
+            completions[rest] = completions.get(rest, 0) | 1 << e
+
+    def column(order, depth: int, avail: int, ref: int) -> tuple[int, int]:
+        """(block, winners): the maximal block over the candidates in `avail`
+        given label `depth` after `order`, and the mask of those attaining it.
+
+        The winners are 0 once the block's prefix falls below `ref`."""
+        val = 0
+        shift = len(combos_by_depth[depth])
         for combo in combos_by_depth[depth]:
             mm = 0
             for p in combo:
                 mm |= 1 << order[p]
-            orvals.append(mm)
-        out = []
-        for e in elements:
-            obit = 1 << e
-            val = 0
-            for mm in orvals:
-                val = (val << 1) | (1 if (mm | obit) in bases_set else 0)
-            out.append((-val, e))
-        return out
+            shift -= 1
+            c = completions.get(mm, 0) & avail
+            if c:
+                avail = c
+                val = val << 1 | 1
+            else:
+                val <<= 1
+                if val < ref >> shift:
+                    return val, 0
+        return val, avail
 
     # Seed the incumbent with the identity labeling; it is a genuine leaf,
     # so equality against it already certifies an automorphism.
-    best = [-blocks(range(n), depth, (depth,))[0][0] for depth in range(n)]
+    best = [column(range(n), depth, 1 << depth, 0)[0] for depth in range(n)]
 
     best_witness = list(range(n))  # 0-based: element i -> label best_witness[i]
     autos: list[tuple[int, ...]] = []
@@ -167,10 +186,10 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     odd = False
 
     order: list[int] = []
-    used = [False] * n
+    unused = (1 << n) - 1
 
     def dfs(depth: int, improved_edge: bool) -> None:
-        nonlocal best_witness, odd
+        nonlocal best_witness, odd, unused
         if depth == n:
             if improved_edge:
                 best_witness = [0] * n
@@ -188,23 +207,22 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                         odd = True
             return
 
-        cands = blocks(order, depth, [e for e in range(n) if not used[e]])
-        cands.sort()
+        # No reference exists at this depth on the first descent after an
+        # improvement shallower up.
+        ref = best[depth] if len(best) > depth else None
+        val, winners = column(order, depth, unused, ref or 0)
+        improved = ref is None or val > ref
 
-        # Orbit roots under the found automorphisms fixing the prefix, taken
-        # once a second sibling passes and again when automorphisms arrive.
+        # Every winner has the same block, so only the first can improve;
+        # they are walked in ascending element order.  Orbit roots under the
+        # found automorphisms fixing the prefix are taken once a second
+        # winner passes and again when automorphisms arrive.
         tried: set[int] = set()
         roots, rooted = range(n), 0  # rooted: len(autos) when roots was taken
-        for negval, e in cands:
-            val = -negval
-            if len(best) > depth:
-                if val < best[depth]:
-                    break  # candidates are sorted by block, the rest are worse
-                improved = val > best[depth]
-            else:
-                # First descent after an improvement shallower up: no
-                # reference exists yet at this depth.
-                improved = True
+        while winners:
+            low = winners & -winners
+            winners ^= low
+            e = low.bit_length() - 1
             if tried and rooted != len(autos):
                 roots = _partition_roots(n, chain.from_iterable(
                     enumerate(psi) for psi in autos if all(psi[p] == p for p in order)
@@ -219,14 +237,15 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                 del best[depth:]
                 best.append(val)
             order.append(e)
-            used[e] = True
+            unused ^= low
             # An improvement truncates best, so every deeper edge on that
             # descent appends and re-raises the flag; passing only this
             # edge's flag therefore still marks champion leaves correctly,
             # while equal siblings inside a rebuilt subtree count as ties.
             dfs(depth + 1, improved)
             order.pop()
-            used[e] = False
+            unused ^= low
+            improved = False
 
     dfs(0, False)
     witness = tuple(lab + 1 for lab in best_witness)

@@ -41,9 +41,13 @@ def _add_common(p, kind=False, max_n=True):
             help="differential: del, clp, con, lp, del-tot, con-tot",
         )
     if max_n:
-        p.add_argument("--max-n", type=int, default=7, dest="max_n")
+        _add_max_n(p)
     p.add_argument("--source", default=None, help="census file (MTRD or F2DB)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_max_n(p):
+    p.add_argument("--max-n", type=int, default=7, dest="max_n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,10 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="csv", choices=("csv", "json"))
 
     p = sub.add_parser("homology", help="Betti table of a complex")
-    _add_common(p, kind=True)
+    _add_common(p, kind=True, max_n=False)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--exact", action="store_true", help="force exact ranks")
-    p.add_argument(
+    # a bidegree names its one row, so a degree range would go unread
+    rows = p.add_mutually_exclusive_group()
+    _add_max_n(rows)
+    rows.add_argument(
         "--bidegree",
         default=None,
         help="single bidegree 'n,r' (ground-set size, rank)",

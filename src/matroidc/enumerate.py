@@ -8,9 +8,9 @@ subclasses of its hyperplanes (Crapo 1965), which a depth-first search over
 the hyperplanes lists.  Only the first child of each orbit under the
 parent's automorphism generators is canonically labelled; the rest are
 isomorphic to it.  The orbits are the classes of `matroid._partition_roots`
-over the pairs (child, its image under a generator).  A direct search over
-basis families, driven by the labelled exchange backtracker, is kept as an
-independent oracle for n <= 6.
+over the pairs (child, its image under a generator).  The labelled exchange
+backtracker `_exchange_families` drives the direct search over basis
+families that the tests keep as an independent oracle for n <= 6.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .matroid import (
     Matroid,
     _bit_positions,
     _partition_roots,
-    _subset_masks,
     from_bases,
     from_f2_matrix,
 )
@@ -111,32 +110,9 @@ def _exchange_families(fixed: tuple[int, ...], cands: list[int]):
         stack.append((i + 1, chosen + (i,), tuple(nxt)))
 
 
-def _direct_search_rank(n: int, r: int):
-    """All rank-r matroids on [n] containing the basis {1..r}, as families.
-
-    Every isomorphism class has such a representative, so this is complete
-    up to isomorphism.
-    """
-    cands = sorted(_subset_masks((1 << n) - 1, r))
-    first = cands[0]  # the basis {1..r}
-    for extra in _exchange_families((first,), cands[1:]):
-        yield (first, *extra)
-
-
 def _classes(keys) -> tuple[Matroid, ...]:
     """One representative per distinct canonical key, in encoding order."""
     return tuple(k.matroid() for k in sorted(set(keys), key=lambda k: k.encoding))
-
-
-def enumerate_direct(n: int) -> list[Matroid]:
-    """Direct-search enumeration of isomorphism classes; the slow oracle."""
-    if n == 0:
-        return [EMPTY]
-    return list(_classes(
-        canonical_key(Matroid(n, r, fam))
-        for r in range(n + 1)
-        for fam in _direct_search_rank(n, r)
-    ))
 
 
 def _hyperplanes(m: Matroid) -> tuple[list[int], list[int], list[int]]:

@@ -5,13 +5,15 @@ only.  The rest are used by tests alone and are kept here, out of the
 package.
 """
 
-from itertools import permutations
+from itertools import chain, permutations
 
 from matroidc.canonical import (
     CanonicalKey,
     Permutation,
+    _colex_combos,
     apply_perm_mask,
     automorphism_generators,
+    canonical_key,
     perm_compose,
     perm_identity,
     perm_sign,
@@ -19,8 +21,9 @@ from matroidc.canonical import (
 from matroidc.classes import ClassVector, normalize
 from matroidc.complexes import ALL, DifferentialKind, Report, apply_differential, chain_basis
 from matroidc.errors import ExchangeViolation, ParseError
+from matroidc.enumerate import _classes, _exchange_families
 from matroidc.linalg import MM_HEADER, SparseIntMatrix
-from matroidc.matroid import Matroid, _bit_positions
+from matroidc.matroid import EMPTY, Matroid, _bit_positions, _partition_roots, _subset_masks
 
 
 def automorphisms_bruteforce(m: Matroid) -> list[Permutation]:
@@ -174,3 +177,131 @@ def is_prime_64(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _direct_search_rank(n: int, r: int):
+    """All rank-r matroids on [n] containing the basis {1..r}, as families.
+
+    Every isomorphism class has such a representative, so this is complete
+    up to isomorphism.
+    """
+    cands = sorted(_subset_masks((1 << n) - 1, r))
+    first = cands[0]  # the basis {1..r}
+    for extra in _exchange_families((first,), cands[1:]):
+        yield (first, *extra)
+
+
+def enumerate_direct(n: int) -> list[Matroid]:
+    """Direct-search enumeration of isomorphism classes; the slow oracle."""
+    if n == 0:
+        return [EMPTY]
+    return list(_classes(
+        canonical_key(Matroid(n, r, fam))
+        for r in range(n + 1)
+        for fam in _direct_search_rank(n, r)
+    ))
+
+
+def search_blockwise(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, list]:
+    """Return (witness to the canonical labeling, odd flag, automorphism gens).
+
+    The per-candidate block search that `canonical._search` replaced: each
+    node scores every unused candidate and sorts them.  The reference the
+    column-scan kernel is compared against.
+
+    The witness sigma satisfies: relabeling by sigma yields the canonical
+    representative.  Generators are 0-based image tuples over range(n).
+    """
+    combos_by_depth = [_colex_combos(d, r - 1) if r >= 1 else () for d in range(n)]
+
+    def blocks(order, depth: int, elements) -> list[tuple[int, int]]:
+        """(-block, e) for each e in elements given label `depth` after `order`."""
+        orvals = []
+        for combo in combos_by_depth[depth]:
+            mm = 0
+            for p in combo:
+                mm |= 1 << order[p]
+            orvals.append(mm)
+        out = []
+        for e in elements:
+            obit = 1 << e
+            val = 0
+            for mm in orvals:
+                val = (val << 1) | (1 if (mm | obit) in bases_set else 0)
+            out.append((-val, e))
+        return out
+
+    # Seed the incumbent with the identity labeling; it is a genuine leaf,
+    # so equality against it already certifies an automorphism.
+    best = [-blocks(range(n), depth, (depth,))[0][0] for depth in range(n)]
+
+    best_witness = list(range(n))  # 0-based: element i -> label best_witness[i]
+    autos: list[tuple[int, ...]] = []
+    auto_set: set[tuple[int, ...]] = set()
+    odd = False
+
+    order: list[int] = []
+    used = [False] * n
+
+    def dfs(depth: int, improved_edge: bool) -> None:
+        nonlocal best_witness, odd
+        if depth == n:
+            if improved_edge:
+                best_witness = [0] * n
+                for i, e in enumerate(order):
+                    best_witness[e] = i
+            else:
+                # order achieves the same maximum as best_witness: the
+                # discrepancy is an automorphism of the input.
+                psi = tuple(order[best_witness[e]] for e in range(n))
+                if psi != tuple(range(n)) and psi not in auto_set:
+                    auto_set.add(psi)
+                    autos.append(psi)
+                    # The group has an odd element iff a generator is odd.
+                    if perm_sign(tuple(v + 1 for v in psi)) < 0:
+                        odd = True
+            return
+
+        cands = blocks(order, depth, [e for e in range(n) if not used[e]])
+        cands.sort()
+
+        # Orbit roots under the found automorphisms fixing the prefix, taken
+        # once a second sibling passes and again when automorphisms arrive.
+        tried: set[int] = set()
+        roots, rooted = range(n), 0  # rooted: len(autos) when roots was taken
+        for negval, e in cands:
+            val = -negval
+            if len(best) > depth:
+                if val < best[depth]:
+                    break  # candidates are sorted by block, the rest are worse
+                improved = val > best[depth]
+            else:
+                # First descent after an improvement shallower up: no
+                # reference exists yet at this depth.
+                improved = True
+            if tried and rooted != len(autos):
+                roots = _partition_roots(n, chain.from_iterable(
+                    enumerate(psi) for psi in autos if all(psi[p] == p for p in order)
+                ))
+                rooted = len(autos)
+                tried = {roots[t] for t in tried}
+            root = roots[e]
+            if root in tried:
+                continue
+            tried.add(root)
+            if improved:
+                del best[depth:]
+                best.append(val)
+            order.append(e)
+            used[e] = True
+            # An improvement truncates best, so every deeper edge on that
+            # descent appends and re-raises the flag; passing only this
+            # edge's flag therefore still marks champion leaves correctly,
+            # while equal siblings inside a rebuilt subtree count as ties.
+            dfs(depth + 1, improved)
+            order.pop()
+            used[e] = False
+
+    dfs(0, False)
+    witness = tuple(lab + 1 for lab in best_witness)
+    return witness, odd, autos

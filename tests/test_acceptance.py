@@ -30,7 +30,6 @@ from matroidc.complexes import (
 from matroidc.enumerate import (
     enumerate_all,
     enumerate_by_extension,
-    enumerate_direct,
     load_source,
 )
 from matroidc.hopf import (
@@ -46,7 +45,7 @@ from matroidc.hopf import (
 )
 from matroidc.linalg import PRIMES, rank_exact, rank_modular
 from matroidc.matroid import complete_graph, graphic, wheel
-from oracles import has_odd_automorphism_bruteforce
+from oracles import enumerate_direct, has_odd_automorphism_bruteforce
 
 
 def report(name, ok):

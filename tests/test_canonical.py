@@ -17,12 +17,13 @@ from matroidc.canonical import (
     relabel,
 )
 from matroidc.enumerate import enumerate_all
-from matroidc.matroid import EMPTY, complete_graph, graphic, uniform
+from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
 from oracles import (
     automorphism_group,
     automorphisms_bruteforce,
     has_odd_automorphism_bruteforce,
     has_series_pair,
+    search_blockwise,
 )
 
 
@@ -68,6 +69,24 @@ def test_canonical_distinguishes():
 def test_canonical_empty():
     key, w = canonical_form(EMPTY)
     assert key.masks == (0,) and not key.odd_auto and w == ()
+
+
+def test_search_matches_blockwise_reference():
+    # the column scan explores the same tree as the per-candidate block
+    # search: same witness, odd flag, and generators in the same order
+    from matroidc import canonical
+
+    cases = []
+    for n in range(0, 8):
+        for m in enumerate_all(n):
+            for seed in range(3):
+                p = list(range(1, n + 1))
+                random.Random(seed * 1000 + n).shuffle(p)
+                cases.append(relabel(m, tuple(p)))
+    cases += [graphic(wheel(5)), graphic(wheel(6)), graphic(complete_graph(5)), uniform(4, 9)]
+    for m in cases:
+        bases = frozenset(m.bases)
+        assert canonical._search(m.n, m.r, bases) == search_blockwise(m.n, m.r, bases), m
 
 
 def test_odd_automorphism_examples():
@@ -240,8 +259,6 @@ def _clear_canonical_caches():
 
 
 def _stored_result_cases():
-    from matroidc.matroid import wheel
-
     for n in range(0, 7):
         yield from enumerate_all(n)
     yield graphic(wheel(5))

@@ -81,6 +81,14 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_homology_max_n_with_bidegree_is_a_usage_error(capsys):
+    # a bidegree answers one row and would ignore the degree range
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--kind", "del", "--bidegree", "6,3", "--max-n", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_homology_coverage_exit(capsys, tmp_path):
     p = tmp_path / "tiny.mtrd"
     p.write_text("MTRD 1\n1 0 1 0\n1 1 1 1\n")

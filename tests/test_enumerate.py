@@ -14,7 +14,6 @@ from matroidc.enumerate import (
     _orbit_representatives,
     enumerate_all,
     enumerate_by_extension,
-    enumerate_direct,
     extend_by_element,
     load_source,
     parse_f2db,
@@ -28,6 +27,7 @@ from matroidc.errors import (
     SourceIncomplete,
 )
 from matroidc.matroid import EMPTY, Matroid, check_exchange, uniform
+from oracles import enumerate_direct
 
 
 def test_direct_counts_small():
