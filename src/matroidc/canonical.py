@@ -10,10 +10,11 @@ element at a time.  Giving label d to a candidate determines one block of
 indicator bits, one per (r-1)-subset of the prefix in colex order, and the
 search keeps only the candidates whose block is maximal:
 
-  * one colex pass per node finds them.  A table maps each (r-1)-set to the
-    mask of elements completing it to a basis; the pass keeps a mask of the
-    candidates still tied for the maximal block, narrows it at every subset
-    some of them complete, and writes a 1 there and a 0 elsewhere;
+  * one colex pass per node finds them.  `matroid._completions` maps each
+    independent (r-1)-set to the mask of elements completing it to a basis;
+    the pass keeps a mask of the candidates still tied for the maximal
+    block, narrows it at every subset some of them complete, and writes a
+    1 there and a 0 elsewhere;
   * the pass stops as soon as the block's prefix falls below the
     incumbent's, which cuts the whole node;
   * the maximal candidates are tried in ascending element order, skipping
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .matroid import Matroid, _bit_positions, _partition_roots
+from .matroid import Matroid, _completions, _partition_roots
 
 Permutation = tuple[int, ...]  # images of 1..n, 1-based
 
@@ -146,13 +147,7 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     representative.  Generators are 0-based image tuples over range(n).
     """
     combos_by_depth = [_colex_combos(d, r - 1) if r >= 1 else () for d in range(n)]
-
-    # completions[b - e]: the elements x for which (b - e) + x is a basis.
-    completions: dict[int, int] = {}
-    for b in bases_set:
-        for e in _bit_positions(b):
-            rest = b & ~(1 << e)
-            completions[rest] = completions.get(rest, 0) | 1 << e
+    completions = _completions(bases_set)
 
     def column(order, depth: int, avail: int, ref: int) -> tuple[int, int]:
         """(block, winners): the maximal block over the candidates in `avail`

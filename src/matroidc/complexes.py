@@ -478,6 +478,8 @@ def betti_at_bidegree(
     Only the slice's chain groups at n-1, n and n+1 are built, so the source
     need cover only those degrees; without n+1 the row is an upper bound.
     """
+    if not 0 <= r <= n:
+        raise InvalidSpec(f"bidegree ({n},{r}) needs 0 <= r <= n")
     grade = kind.grade_kept
     if grade is None:
         raise InvalidSpec("bidegree slices need a single-bidegree differential")

@@ -33,6 +33,7 @@ from .matroid import (
     MAX_ELEMENTS,
     Matroid,
     _bit_positions,
+    _completions,
     _partition_roots,
     from_bases,
     from_f2_matrix,
@@ -119,19 +120,14 @@ def _hyperplanes(m: Matroid) -> tuple[list[int], list[int], list[int]]:
     """The independent (r-1)-sets of m ascending, the hyperplanes of m, and
     for each set the index of its closure among the hyperplanes.
 
-    The closure of I is I with every x for which I + x is not a basis.
-    Hyperplanes are numbered in order of their first independent set.
+    The sets are the keys of `matroid._completions`, and the closure of I is
+    the complement of its completions.  Hyperplanes are numbered in order of
+    their first independent set.
     """
-    if m.r == 0:
-        return [], [], []
-    family = set(m.bases)
-    sets = sorted(m.independent_sets(m.r - 1))
+    completions = _completions(m.bases)
+    sets = sorted(completions)
     index: dict[int, int] = {}
-    owner = []
-    for s in sets:
-        flat = s | sum(1 << x for x in _bit_positions(m.full_mask & ~s)
-                       if s | 1 << x not in family)
-        owner.append(index.setdefault(flat, len(index)))
+    owner = [index.setdefault(m.full_mask & ~completions[s], len(index)) for s in sets]
     return sets, list(index), owner
 
 
@@ -379,12 +375,18 @@ def _parse_directives(lines):
 def _file_source(path: str, comments, records) -> FileSource:
     """The census of (line, directive) comments and (line, matroid) records.
 
-    Without a coverage directive, exactly the degrees present are claimed.
+    Without a coverage directive, exactly the degrees present are claimed;
+    with one, a record on any other degree is a ParseError.
     """
     coverage, tags = _parse_directives(comments)
-    by_degree, duplicates = _dedup_canonical(records)
     if coverage is None:
-        coverage = set(by_degree)
+        coverage = {m.n for _, m in records}
+    for ln, m in records:
+        if m.n not in coverage:
+            raise ParseError(
+                f"record on degree {m.n} outside the declared coverage", line=ln
+            )
+    by_degree, duplicates = _dedup_canonical(records)
     return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
 
 

@@ -5,10 +5,12 @@ basis family is a strictly sorted tuple of n-bit integers, and it is the
 only representation: independent sets are the subsets of bases, and every
 circuit is the fundamental circuit of an element outside some basis.  Every
 deletion, contraction, restriction and minor comes from one kernel,
-`Matroid.minor`, which takes one pass over the bases.  All operations
-return new Matroid values; nothing is mutated after construction.  The
-bitmask width is capped at 16 elements, which covers every census this
-engine is expected to ingest.
+`Matroid.minor`, which takes one pass over the bases.  The basis-exchange
+table, from each independent (r-1)-set to the elements completing it to a
+basis, comes from `_completions` alone.  All operations return new Matroid
+values; nothing is mutated after construction.  The bitmask width is
+capped at 16 elements, which covers every census this engine is expected
+to ingest.
 """
 
 from __future__ import annotations
@@ -75,27 +77,28 @@ def _partition_roots(n: int, pairs) -> list[int]:
     return [find(x) for x in range(n)]
 
 
+def _completions(bases) -> dict[int, int]:
+    """Each independent (r-1)-set I, mapped to the mask of the elements x
+    for which I + x is a basis.  Rank 0 gives an empty table."""
+    out: dict[int, int] = {}
+    for b in bases:
+        for e in _bit_positions(b):
+            rest = b & ~(1 << e)
+            out[rest] = out.get(rest, 0) | 1 << e
+    return out
+
+
 def check_exchange(bases: tuple[int, ...]) -> None:
     """Raise ExchangeViolation unless the family satisfies axiom (B2).
 
-    For each basis s and element i of s, `wit` holds i and every j for
-    which s - i + j is a basis.  A basis t fails exchange with s at i
+    For basis s and element i of s, `_completions` maps s - i to i and every
+    j for which s - i + j is a basis.  A basis t fails exchange with s at i
     exactly when it meets none of them.  Pairs are tried in the order
     (s, t, i), so the first violation reported is the first in that order.
     """
-    family = set(bases)
-    ground = 0
-    for b in bases:
-        ground |= b
+    table = _completions(bases)
     for s in bases:
-        wits = []
-        for i in _bit_positions(s):
-            base = s & ~(1 << i)
-            wit = 1 << i
-            for j in _bit_positions(ground & ~s):
-                if base | 1 << j in family:
-                    wit |= 1 << j
-            wits.append((i, wit))
+        wits = [(i, table[s & ~(1 << i)]) for i in _bit_positions(s)]
         for t in bases:
             for i, wit in wits:
                 if not t & wit:

@@ -284,6 +284,24 @@ def test_bidegree_malformed(capsys):
         capsys, "homology", "--kind", "del", "--bidegree", "6;3"
     )
     assert code == 2 and "bidegree" in err
+    # (3,6) has n and r swapped; neither it nor (6,-1) has a row
+    for n, r in ((3, 6), (6, -1)):
+        code, out, err = run(capsys, "homology", "--kind", "del", "--bidegree", f"{n},{r}")
+        assert (code, out) == (2, "")
+        assert err == f"invalid request: bidegree ({n},{r}) needs 0 <= r <= n\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("stray.mtrd", "MTRD 1\n# coverage: 1\n1 1 1 1\n2 1 2 1 2\n"),
+    ("stray.f2db", "# coverage: 1\n1\n\n11\n"),
+], ids=["mtrd", "f2db"])
+def test_record_outside_the_declared_coverage_is_a_parse_error(name, text, tmp_path, capsys):
+    # the degree-2 record on line 4 is neither dropped nor counted
+    p = tmp_path / name
+    p.write_text(text)
+    code, out, err = run(capsys, "ingest-check", "--source", str(p))
+    assert (code, out) == (3, "")
+    assert err == "parse error: record on degree 2 outside the declared coverage (line 4)\n"
 
 
 def test_homology_from_census_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from matroidc.errors import (
 )
 from matroidc.matroid import (
     EMPTY,
+    _completions,
     _excluded_minors,
     _partition_roots,
     Graph,
@@ -229,6 +230,30 @@ def test_check_exchange_matches_the_pairwise_reference():
     got = [exchange_outcome(check_exchange, f) for f in families]
     assert got == [exchange_outcome(check_exchange_pairwise, f) for f in families]
     assert got.count(None) > 500 and len(got) - got.count(None) > 500
+
+
+def test_completions_match_the_table_from_every_basis_subset():
+    # the keys are the (r-1)-subsets of bases and each value holds every x
+    # completing its key to a basis; each class is checked whole and with
+    # each basis dropped, since check_exchange reads the table for
+    # families that are not matroids too
+    def brute(n, bases):
+        family = set(bases)
+        keys = {
+            sum(1 << i for i in c)
+            for b in bases if b
+            for c in combinations([i for i in range(n) if b >> i & 1], b.bit_count() - 1)
+        }
+        return {
+            k: sum(1 << x for x in range(n) if not k >> x & 1 and k | 1 << x in family)
+            for k in keys
+        }
+
+    for n in range(7):
+        for m in enumerate_all(n):
+            for k in range(len(m.bases) + 1):
+                fam = m.bases[:k] + m.bases[k + 1:]
+                assert _completions(fam) == brute(n, fam), (m, k)
 
 
 def test_uniform():
