@@ -15,12 +15,16 @@ search keeps only the candidates whose block is maximal:
     the pass keeps a mask of the candidates still tied for the maximal
     block, narrows it at every subset some of them complete, and writes a
     1 there and a 0 elsewhere;
+  * a node's (r-1)-subsets are its parent's followed by those holding the
+    newest label, so the pass scans the completion masks its parent looked
+    up and looks up only the new subsets;
   * the pass stops as soon as the block's prefix falls below the
     incumbent's, which cuts the whole node;
   * the maximal candidates are tried in ascending element order, skipping
     any in the orbit of an already-explored sibling under the discovered
-    automorphisms fixing the chosen prefix pointwise;
-    `matroid._partition_roots` gives those orbits.
+    automorphisms fixing the chosen prefix pointwise.  A node merges each
+    such automorphism into its orbits once, as it arrives, through
+    `matroid._partition_roots`.
 
 Every fully-equal leaf yields an automorphism, and the set discovered this
 way generates the whole group, so after the search we know both the
@@ -126,9 +130,22 @@ class CanonicalKey:
 
 @lru_cache(maxsize=None)
 def _colex_combos(k: int, j: int) -> tuple[tuple[int, ...], ...]:
+    if j < 0:
+        return ()
     combos = list(combinations(range(k), j))
     combos.sort(key=lambda c: sum(1 << i for i in c))
     return tuple(combos)
+
+
+def _fresh_rests(d: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The (r-1)-subsets of positions a node at depth d scans beyond its
+    parent's, each without position d - 1.
+
+    For d >= 1 the node's subsets are the parent's _colex_combos(d - 1, r - 1)
+    followed by rest + (d - 1,) for each rest here, in order.  The root has
+    no parent and no position d - 1: it scans _colex_combos(0, r - 1).
+    """
+    return _colex_combos(0, r - 1) if d == 0 else _colex_combos(d - 1, r - 2)
 
 
 class _CanonResult:
@@ -146,22 +163,43 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     The witness sigma satisfies: relabeling by sigma yields the canonical
     representative.  Generators are 0-based image tuples over range(n).
     """
-    combos_by_depth = [_colex_combos(d, r - 1) if r >= 1 else () for d in range(n)]
     completions = _completions(bases_set)
+    rests = [_fresh_rests(d, r) for d in range(n)]
+    sizes = [len(_colex_combos(d, r - 1)) for d in range(n)]
+    inherited = [0] + sizes[:-1]
+    # cols[i]: the completion mask of the i-th (r-1)-subset of the current
+    # prefix's positions in colex order.  A node at depth d keeps its
+    # parent's inherited[d] entries and writes its fresh ones after them;
+    # the entries of a node that is cut are never read.
+    cols: list[int] = []
 
     def column(order, depth: int, avail: int, ref: int) -> tuple[int, int]:
         """(block, winners): the maximal block over the candidates in `avail`
         given label `depth` after `order`, and the mask of those attaining it.
 
         The winners are 0 once the block's prefix falls below `ref`."""
+        del cols[inherited[depth]:]
         val = 0
-        shift = len(combos_by_depth[depth])
-        for combo in combos_by_depth[depth]:
-            mm = 0
-            for p in combo:
-                mm |= 1 << order[p]
+        shift = sizes[depth]
+        for c in cols:
             shift -= 1
-            c = completions.get(mm, 0) & avail
+            c &= avail
+            if c:
+                avail = c
+                val = val << 1 | 1
+            else:
+                val <<= 1
+                if val < ref >> shift:
+                    return val, 0
+        last = 1 << order[depth - 1] if depth else 0
+        for rest in rests[depth]:
+            mm = last
+            for p in rest:
+                mm |= 1 << order[p]
+            c = completions.get(mm, 0)
+            cols.append(c)
+            shift -= 1
+            c &= avail
             if c:
                 avail = c
                 val = val << 1 | 1
@@ -178,6 +216,8 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
     best_witness = list(range(n))  # 0-based: element i -> label best_witness[i]
     autos: list[tuple[int, ...]] = []
     auto_set: set[tuple[int, ...]] = set()
+    # moves[i]: the mask of the points autos[i] moves, and the pairs (p, psi(p)) there
+    moves: list[tuple[int, tuple]] = []
     odd = False
 
     order: list[int] = []
@@ -197,6 +237,8 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                 if psi != tuple(range(n)) and psi not in auto_set:
                     auto_set.add(psi)
                     autos.append(psi)
+                    pairs = tuple((p, q) for p, q in enumerate(psi) if p != q)
+                    moves.append((sum(1 << p for p, _ in pairs), pairs))
                     # The group has an odd element iff a generator is odd.
                     if perm_sign(tuple(v + 1 for v in psi)) < 0:
                         odd = True
@@ -206,24 +248,26 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
         # improvement shallower up.
         ref = best[depth] if len(best) > depth else None
         val, winners = column(order, depth, unused, ref or 0)
+        if not winners:
+            return
         improved = ref is None or val > ref
 
         # Every winner has the same block, so only the first can improve;
-        # they are walked in ascending element order.  Orbit roots under the
-        # found automorphisms fixing the prefix are taken once a second
-        # winner passes and again when automorphisms arrive.
+        # they are walked in ascending element order.  Once a second winner
+        # passes, the automorphisms found since the node last looked that
+        # fix the prefix (move no used element) are merged into its orbits.
         tried: set[int] = set()
-        roots, rooted = range(n), 0  # rooted: len(autos) when roots was taken
+        roots, seen = range(n), 0  # seen: len(autos) when the node last looked
         while winners:
             low = winners & -winners
             winners ^= low
             e = low.bit_length() - 1
-            if tried and rooted != len(autos):
-                roots = _partition_roots(n, chain.from_iterable(
-                    enumerate(psi) for psi in autos if all(psi[p] == p for p in order)
-                ))
-                rooted = len(autos)
-                tried = {roots[t] for t in tried}
+            if tried and seen != len(autos):
+                fixing = [pairs for mask, pairs in moves[seen:] if not mask & ~unused]
+                seen = len(autos)
+                if fixing:
+                    roots = _partition_roots(n, chain.from_iterable(fixing), roots)
+                    tried = {roots[t] for t in tried}
             root = roots[e]
             if root in tried:
                 continue

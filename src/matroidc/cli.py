@@ -46,8 +46,17 @@ def _add_common(p, kind=False, max_n=True):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def degree(text: str) -> int:
+    """A ground-set size: a negative one names no degree, so it is refused
+    rather than read as an empty request."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a degree is >= 0, not {n}")
+    return n
+
+
 def _add_max_n(p):
-    p.add_argument("--max-n", type=int, default=7, dest="max_n")
+    p.add_argument("--max-n", type=degree, default=7, dest="max_n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-matrix", help="differential matrix as Matrix Market")
     _add_common(p, kind=True, max_n=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=degree, required=True)
 
     p = sub.add_parser("ingest-check", help="validate a census file")
     p.add_argument("--source", required=True)

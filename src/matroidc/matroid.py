@@ -57,10 +57,13 @@ def _squeeze(masks, keep: int) -> tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def _partition_roots(n: int, pairs) -> list[int]:
+def _partition_roots(n: int, pairs, start=None) -> list[int]:
     """For each point of range(n), the smallest member of its class in the
-    finest partition that joins both points of every pair."""
-    root = list(range(n))
+    finest partition that joins both points of every pair.
+
+    `start`, an earlier result, continues that partition: the pairs are
+    merged into its classes rather than into singletons."""
+    root = list(range(n) if start is None else start)
 
     def find(x):
         while root[x] != x:

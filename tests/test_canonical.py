@@ -1,7 +1,7 @@
 """Canonical labeling, witnesses and automorphism parity."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from matroidc.canonical import (
     apply_perm_mask,
@@ -17,7 +17,7 @@ from matroidc.canonical import (
     relabel,
 )
 from matroidc.enumerate import enumerate_all
-from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
+from matroidc.matroid import EMPTY, Graph, complete_graph, from_bases, graphic, uniform, wheel
 from oracles import (
     automorphism_group,
     automorphisms_bruteforce,
@@ -84,9 +84,35 @@ def test_search_matches_blockwise_reference():
                 random.Random(seed * 1000 + n).shuffle(p)
                 cases.append(relabel(m, tuple(p)))
     cases += [graphic(wheel(5)), graphic(wheel(6)), graphic(complete_graph(5)), uniform(4, 9)]
+    # n = 9 with small groups, the shapes that dominate a census run:
+    # M(K3,3), M(W5)\e and a rank-4 sparse paving matroid, two labellings each
+    hyperplanes = [(1, 2, 3, 4), (1, 2, 5, 6), (3, 5, 7, 8), (2, 4, 7, 9), (1, 6, 8, 9)]
+    circuits = {sum(1 << (e - 1) for e in h) for h in hyperplanes}
+    paving = from_bases(9, 4, [
+        b for b in (sum(1 << e for e in c) for c in combinations(range(9), 4)) if b not in circuits
+    ])
+    k33 = Graph(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
+    for m in (graphic(k33), graphic(wheel(5)).delete(1), paving):
+        for seed in range(2):
+            p = list(range(1, m.n + 1))
+            random.Random(seed * 1000 + m.n).shuffle(p)
+            cases.append(relabel(m, tuple(p)))
     for m in cases:
         bases = frozenset(m.bases)
         assert canonical._search(m.n, m.r, bases) == search_blockwise(m.n, m.r, bases), m
+
+
+def test_fresh_subsets_follow_the_parents_in_colex_order():
+    # a node at depth d scans its parent's (r-1)-subsets, then its fresh
+    # ones; together they must be every (r-1)-subset of range(d), in colex
+    from matroidc.canonical import _colex_combos, _fresh_rests
+
+    for n in range(13):
+        for r in range(n + 1):
+            for d in range(n):
+                inherited = _colex_combos(d - 1, r - 1) if d else ()
+                fresh = tuple(rest + (d - 1,) if d else rest for rest in _fresh_rests(d, r))
+                assert inherited + fresh == _colex_combos(d, r - 1), (n, r, d)
 
 
 def test_odd_automorphism_examples():

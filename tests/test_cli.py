@@ -152,6 +152,23 @@ def test_enumerate_degree_outside_the_builtin_range(n, tmp_path, capsys):
     assert not (tmp_path / "x.mtrd").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("dims", "--max-n", "-2"),
+    ("homology", "--kind", "del", "--max-n", "-1"),
+    ("verify", "--suite", "hopf", "--max-n", "-1"),
+    ("verify", "--suite", "square", "--max-n", "-1"),
+    ("export-matrix", "--kind", "del", "--n", "-1"),
+])
+def test_negative_degree_is_a_request_error(argv, capsys):
+    # a negative degree names no classes; it must not pass as an empty check
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"a degree is >= 0, not {argv[-1]}" in out.err
+
+
 def test_export_matrix(capsys):
     code, out, _ = run(capsys, "export-matrix", "--kind", "del", "--n", "1")
     assert code == 0

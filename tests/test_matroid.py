@@ -531,6 +531,16 @@ def test_partition_roots_match_bfs_components():
             assert {roots[x] for x in cls} == {min(cls)}, (n, pairs)
 
 
+def test_partition_roots_continue_from_an_earlier_result():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = rng.randrange(13)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+        cut = rng.randrange(len(pairs) + 1)
+        first = _partition_roots(n, pairs[:cut])
+        assert _partition_roots(n, pairs[cut:], first) == _partition_roots(n, pairs), (n, pairs, cut)
+
+
 def test_components_examples():
     two = uniform(1, 1).direct_sum(uniform(1, 1))
     assert two.components() == [{1}, {2}]
