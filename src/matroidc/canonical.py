@@ -287,6 +287,7 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
             improved = False
 
     dfs(0, False)
+    del dfs  # dfs refers to itself through its closure; free it on return
     witness = tuple(lab + 1 for lab in best_witness)
     return witness, odd, autos
 

@@ -3,7 +3,9 @@
 Orientations are never stored: a matroid on [n] implicitly carries the
 standard orientation 1^2^...^n, and every orientation comparison reduces
 to a permutation sign.  A class whose matroid admits an odd automorphism
-is zero, so such keys never appear in a vector.
+is zero, so such keys never appear in a vector.  Every operator on classes
+(differentials, product, coproduct, maps on tensor factors) is the linear
+extension `ClassVector.map` of what it does to one key.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ class ClassVector:
     @classmethod
     def unit(cls) -> "ClassVector":
         return cls.of(EMPTY)
+
+    def map(self, f) -> "ClassVector":
+        """Linear extension of f, which sends one key to (key, coeff) pairs."""
+        return ClassVector.accumulate(
+            (k2, c * c2) for k, c in self.terms.items() for k2, c2 in f(k)
+        )
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -331,9 +331,9 @@ def _dedup_canonical(records):
     return by_degree, duplicates
 
 
-# Tags a census may declare: the property predicates, and the connected
-# quotient.
-_DECLARABLE_TAGS = frozenset(PROPERTY_TAGS) | {"connected"}
+# Tags a census may declare, with the predicate each record must pass: the
+# property predicates, and connectivity for the connected quotient.
+_DECLARABLE_TAGS = {**PROPERTY_TAGS, "connected": Matroid.is_connected}
 
 
 def _coverage_degrees(tok: str, ln: int) -> range:
@@ -376,16 +376,23 @@ def _file_source(path: str, comments, records) -> FileSource:
     """The census of (line, directive) comments and (line, matroid) records.
 
     Without a coverage directive, exactly the degrees present are claimed;
-    with one, a record on any other degree is a ParseError.
+    with one, a record on any other degree is a ParseError.  So is a record
+    that fails a declared property tag.
     """
     coverage, tags = _parse_directives(comments)
     if coverage is None:
         coverage = {m.n for _, m in records}
+    checks = [(t, _DECLARABLE_TAGS[t]) for t in sorted(tags)]
     for ln, m in records:
         if m.n not in coverage:
             raise ParseError(
                 f"record on degree {m.n} outside the declared coverage", line=ln
             )
+        for tag, holds in checks:
+            if not holds(m):
+                raise ParseError(
+                    f"record fails the declared property {tag!r}", line=ln
+                )
     by_degree, duplicates = _dedup_canonical(records)
     return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
 

@@ -7,12 +7,15 @@ over all ground-set subsets S, realized in the shuffle model: list S first,
 then its complement, and charge the sign of that shuffle to the term.  The
 grading is ground-set size; graded signs follow the Koszul rule, with each
 differential sitting in degree -1.
+
+Every operator here extends linearly through `ClassVector.map`.  A map f of
+degree k acts on factor i of a tensor term through `_on_factor`, which
+charges the Koszul sign (-1)^(k * |factors before i|).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .canonical import canonical_key
 from .classes import ClassVector, normalize
@@ -32,16 +35,15 @@ unit = ClassVector.unit
 def star(a: ClassVector, b: ClassVector) -> ClassVector:
     """Bilinear extension of direct sum to classes."""
 
-    def terms():
-        for ka, ca in a.terms.items():
-            ma = ka.matroid()
-            for kb, cb in b.terms.items():
-                nz = normalize(ma.direct_sum(kb.matroid()))
-                if nz is not None:
-                    key, s = nz
-                    yield key, ca * cb * s
+    def times_b(ka):
+        ma = ka.matroid()
+        for kb, cb in b.terms.items():
+            nz = normalize(ma.direct_sum(kb.matroid()))
+            if nz is not None:
+                key, s = nz
+                yield key, cb * s
 
-    return ClassVector.accumulate(terms())
+    return a.map(times_b)
 
 
 def counit(v: ClassVector) -> Fraction:
@@ -59,27 +61,26 @@ def _shuffle_sign(smask: int, n: int) -> int:
     return -1 if total % 2 else 1
 
 
+def _coproduct_terms(key):
+    """((left key, right key), sign) for each surviving subset S of [key]."""
+    m = key.matroid()
+    n = m.n
+    for smask in range(1 << n):
+        left = normalize(m.minor(0, m.full_mask & ~smask))
+        if left is None:
+            continue
+        right = normalize(m.minor(smask, 0))
+        if right is None:
+            continue
+        yield (left[0], right[0]), _shuffle_sign(smask, n) * left[1] * right[1]
+
+
 def coproduct(v: ClassVector) -> ClassVector:
     """Sum over subsets S of [restriction to S] tensor [contraction by S].
 
     The result is keyed by (left key, right key) pairs.
     """
-
-    def terms():
-        for key, coeff in v.terms.items():
-            m = key.matroid()
-            n = m.n
-            for smask in range(1 << n):
-                left = normalize(m.minor(0, m.full_mask & ~smask))
-                if left is None:
-                    continue
-                right = normalize(m.minor(smask, 0))
-                if right is None:
-                    continue
-                sign = _shuffle_sign(smask, n) * left[1] * right[1]
-                yield (left[0], right[0]), coeff * sign
-
-    return ClassVector.accumulate(terms())
+    return v.map(_coproduct_terms)
 
 
 def _basis_classes(max_n: int, source):
@@ -105,22 +106,19 @@ def _key_tuples(arity: int, max_n: int, source):
     return grow((), max_n)
 
 
-def _tensor_apply_left(f, t: ClassVector) -> ClassVector:
-    """(f tensor id) with f of even structure cost: no Koszul sign."""
-    return ClassVector.accumulate(
-        ((k2, kb), c * c2)
-        for (ka, kb), c in t.terms.items()
-        for k2, c2 in f(ClassVector({ka: 1})).terms.items()
-    )
+def _on_factor(t: ClassVector, i: int, f, degree: int) -> ClassVector:
+    """Apply the linear map f of the given degree to factor i of every tensor
+    term, with Koszul sign (-1)^(degree * |factors before i|).  A tuple key
+    of f's result is spliced in flat, so f may itself land in a tensor power.
+    """
 
+    def terms(key):
+        sign = -1 if degree * sum(k.n for k in key[:i]) % 2 else 1
+        for k2, c2 in f(ClassVector({key[i]: 1})).terms.items():
+            mid = k2 if isinstance(k2, tuple) else (k2,)
+            yield (*key[:i], *mid, *key[i + 1:]), c2 * sign
 
-def _tensor_apply_right(f, t: ClassVector, degree: int) -> ClassVector:
-    """(id tensor f) with Koszul sign (-1)^(degree * |left factor|)."""
-    return ClassVector.accumulate(
-        ((ka, k2), c * c2 * (-1 if (degree * ka.n) % 2 else 1))
-        for (ka, kb), c in t.terms.items()
-        for k2, c2 in f(ClassVector({kb: 1})).terms.items()
-    )
+    return t.map(terms)
 
 
 def verify_coassociativity(max_n: int, source) -> Report:
@@ -129,24 +127,12 @@ def verify_coassociativity(max_n: int, source) -> Report:
     for key in _basis_classes(max_n, source):
         v = ClassVector({key: 1})
         dv = coproduct(v)
-        left = ClassVector.accumulate(
-            ((k1, k2, kb), c * c2)
-            for (ka, kb), c in dv.terms.items()
-            for (k1, k2), c2 in coproduct(ClassVector({ka: 1})).terms.items()
-        )
-        right = ClassVector.accumulate(
-            ((ka, k1, k2), c * c2)
-            for (ka, kb), c in dv.terms.items()
-            for (k1, k2), c2 in coproduct(ClassVector({kb: 1})).terms.items()
-        )
+        left = _on_factor(dv, 0, coproduct, degree=0)
+        right = _on_factor(dv, 1, coproduct, degree=0)
         rep.record(left == right, "coassociativity", f"n={key.n}", (key,))
         # counit: collapse either factor.
-        lsum = ClassVector.accumulate(
-            (kb, c * counit(ClassVector({ka: 1}))) for (ka, kb), c in dv.terms.items()
-        )
-        rsum = ClassVector.accumulate(
-            (ka, c * counit(ClassVector({kb: 1}))) for (ka, kb), c in dv.terms.items()
-        )
+        lsum = dv.map(lambda k: [(k[1], counit(ClassVector({k[0]: 1})))])
+        rsum = dv.map(lambda k: [(k[0], counit(ClassVector({k[1]: 1})))])
         rep.record(lsum == v and rsum == v, "counit", f"n={key.n}", (key,))
     return rep
 
@@ -154,17 +140,17 @@ def verify_coassociativity(max_n: int, source) -> Report:
 def _tensor_star(t1: ClassVector, t2: ClassVector) -> ClassVector:
     """(a tensor b) star (c tensor d) = (-1)^(|b||c|) (a star c) tensor (b star d)."""
 
-    def terms():
-        for (ka, kb), c in t1.terms.items():
-            for (kc, kd), c2 in t2.terms.items():
-                sign = -1 if (kb.n * kc.n) % 2 else 1
-                ac = star(ClassVector({ka: 1}), ClassVector({kc: 1}))
-                bd = star(ClassVector({kb: 1}), ClassVector({kd: 1}))
-                for k1, u in ac.terms.items():
-                    for k2, w in bd.terms.items():
-                        yield (k1, k2), c * c2 * sign * u * w
+    def times_t2(key):
+        ka, kb = key
+        for (kc, kd), c2 in t2.terms.items():
+            sign = -1 if (kb.n * kc.n) % 2 else 1
+            ac = star(ClassVector({ka: 1}), ClassVector({kc: 1}))
+            bd = star(ClassVector({kb: 1}), ClassVector({kd: 1}))
+            for k1, u in ac.terms.items():
+                for k2, w in bd.terms.items():
+                    yield (k1, k2), c2 * sign * u * w
 
-    return ClassVector.accumulate(terms())
+    return t1.map(times_t2)
 
 
 def verify_bialgebra(max_n: int, source) -> Report:
@@ -242,11 +228,7 @@ def verify_coderivation(kind: DifferentialKind, max_n: int, source) -> Report:
     for key in _basis_classes(max_n, source):
         v = ClassVector({key: 1})
         lhs = coproduct(dk(v))
-        dv = coproduct(v)
-        if side == "right":
-            rhs = _tensor_apply_right(dk, dv, degree=-1)
-        else:
-            rhs = _tensor_apply_left(dk, dv)
+        rhs = _on_factor(coproduct(v), 1 if side == "right" else 0, dk, degree=-1)
         what = f"coderivation-{side} {kind.value}"
         rep.record(lhs == rhs, what, f"n={key.n}", (key,))
     return rep
@@ -321,17 +303,15 @@ def connected_dim_check(max_n: int, source) -> Report:
         conn.append(
             sum(1 for key in basis.keys if key.matroid().is_connected())
         )
-    # Power series product up to degree max_n: (1 + t^m)^c for odd m, and
-    # (1 - t^m)^(-c), with coefficient C(c - 1 + j, j) at t^(j m), for even m.
+    # Multiply the series up to degree max_n by c factors (1 + t^m) for odd
+    # m, in place from the top, and by c factors 1/(1 - t^m) for even m, in
+    # place from the bottom.
     series = [1] + [0] * max_n
     for m in range(1, max_n + 1):
-        c = conn[m]
-        if not c:
-            continue
-        factor = [0] * (max_n + 1)
-        for j in range(0, max_n // m + 1):
-            factor[j * m] = comb(c, j) if m % 2 == 1 else comb(c - 1 + j, j)
-        series = _poly_mul(series, factor, max_n)
+        degrees = range(m, max_n + 1)
+        for _ in range(conn[m]):
+            for k in reversed(degrees) if m % 2 else degrees:
+                series[k] += series[k - m]
     for n in range(0, max_n + 1):
         rep.record(
             series[n] == dims[n],
@@ -340,14 +320,3 @@ def connected_dim_check(max_n: int, source) -> Report:
         )
     return rep
 
-
-def _poly_mul(a, b, cap):
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj or i + j > cap:
-                continue
-            out[i + j] += ai * bj
-    return out

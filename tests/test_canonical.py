@@ -1,11 +1,13 @@
 """Canonical labeling, witnesses and automorphism parity."""
 
+import gc
 import random
 from itertools import combinations, permutations
 
 from matroidc.canonical import (
     apply_perm_mask,
     automorphism_generators,
+    _search,
     canonical_form,
     canonical_key,
     has_odd_automorphism,
@@ -326,3 +328,16 @@ def test_representative_is_answered_by_the_search_that_found_it(monkeypatch):
         _clear_canonical_caches()
         assert len(group) == len(automorphism_group(rep))
         assert nz == normalize(rep)
+
+
+def test_search_leaves_no_reference_cycle():
+    # the recursive search must free its tables on return, not leave them
+    # for the cyclic collector
+    m = graphic(wheel(5))
+    gc.collect()
+    gc.disable()
+    try:
+        _search(m.n, m.r, frozenset(m.bases))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

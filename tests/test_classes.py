@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from matroidc.canonical import canonical_key, perm_sign, relabel
 from matroidc.classes import ClassVector, normalize
+from matroidc.complexes import DifferentialKind as K, apply_differential
 from matroidc.enumerate import enumerate_all
-from matroidc.matroid import EMPTY, complete_graph, graphic, uniform
+from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
 
 
 def test_normalize_zero_class():
@@ -48,6 +51,28 @@ def test_vector_arithmetic():
     s = v.add(w)
     assert len(s.terms) == 2
     assert s.coefficient(canonical_key(uniform(1, 1))) == Fraction(1)
+
+
+def test_map_is_the_linear_extension():
+    loop, coloop = canonical_key(uniform(0, 1)), canonical_key(uniform(1, 1))
+    images = {loop: [(coloop, 3)], coloop: [(loop, 1), (coloop, 1)]}
+    v = ClassVector({loop: 2, coloop: -1})
+    assert v.map(images.__getitem__) == ClassVector({coloop: 5, loop: -1})
+    # images that cancel leave no zero coefficient behind
+    assert v.map(lambda k: [(loop, 1)]) == ClassVector({loop: 1})
+    assert ClassVector({loop: 1, coloop: -1}).map(lambda k: [(loop, 1)]).is_zero()
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_odd_wheels_are_cycles_and_even_wheels_vanish(g):
+    v = ClassVector.of(graphic(wheel(g)))
+    if g % 2 == 0:
+        # M(W_g) has an odd automorphism, so its class is zero
+        assert v.is_zero()
+        return
+    assert not v.is_zero()
+    for kind in (K.DEL, K.CON):
+        assert apply_differential(kind, v).is_zero()
 
 
 def test_bidegrees():

@@ -321,6 +321,21 @@ def test_record_outside_the_declared_coverage_is_a_parse_error(name, text, tmp_p
     assert err == "parse error: record on degree 2 outside the declared coverage (line 4)\n"
 
 
+@pytest.mark.parametrize("name, text, tag", [
+    # U(2,4) is not binary
+    ("tagged.mtrd", "MTRD 1\n# property: binary\n1 1 1 1\n4 2 6 3 5 6 9 10 12\n", "binary"),
+    # two coloops are not connected
+    ("tagged.f2db", "# property: connected\n1\n\n10\n01\n", "connected"),
+], ids=["mtrd", "f2db"])
+def test_record_failing_a_declared_tag_is_a_parse_error(name, text, tag, tmp_path, capsys):
+    # the record on line 4 is neither dropped nor counted
+    p = tmp_path / name
+    p.write_text(text)
+    code, out, err = run(capsys, "ingest-check", "--source", str(p))
+    assert (code, out) == (3, "")
+    assert err == f"parse error: record fails the declared property '{tag}' (line 4)\n"
+
+
 def test_homology_from_census_file(tmp_path, capsys):
     # a census written by the engine feeds back in and reproduces the
     # enumerator's homology
