@@ -84,8 +84,16 @@ PROPERTY_TAGS = {
 
 _SELF_DUAL_TAGS = {"binary", "ternary", "regular"}
 
-# simple matroids are in particular loopless; used for census coverage checks
-_TAG_IMPLICATIONS = {"simple": {"loopless"}}
+# The tags each tag implies, so that a census declaring a tag serves every
+# spec whose classes carry it.  Simple matroids are loopless; graphic and
+# cographic ones are regular, and regular is binary and ternary (Tutte).
+# The table is closed under implication, so one expansion step is exact.
+_TAG_IMPLICATIONS = {
+    "simple": {"loopless"},
+    "regular": {"binary", "ternary"},
+    "graphic": {"regular", "binary", "ternary"},
+    "cographic": {"regular", "binary", "ternary"},
+}
 
 
 @dataclass(frozen=True)

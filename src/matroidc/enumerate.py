@@ -5,10 +5,11 @@ extension.  Every matroid on [n] is an extension of its deletion of element
 n, so the children of all classes on [n-1] cover every class on [n].  A
 parent's extensions other than the coloop are in bijection with the linear
 subclasses of its hyperplanes (Crapo 1965), which a depth-first search over
-the hyperplanes lists.  Only the first child of each orbit under the
-parent's automorphism generators is canonically labelled; the rest are
-isomorphic to it.  The orbits are the classes of `matroid._partition_roots`
-over the pairs (child, its image under a generator).  The labelled exchange
+the hyperplanes lists.  The parent's automorphism generators permute the
+hyperplanes and so the subclasses, and only the first child of each orbit
+is built and canonically labelled; the rest are isomorphic to it.  The
+orbits are the classes of `matroid._partition_roots` over the pairs
+(subclass, its image under a generator).  The labelled exchange
 backtracker `_exchange_families` drives the direct search over basis
 families that the tests keep as an independent oracle for n <= 6.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations
 
 from .canonical import apply_perm_mask, automorphism_generators, canonical_key
 from .complexes import PROPERTY_TAGS
@@ -131,25 +131,25 @@ def _hyperplanes(m: Matroid) -> tuple[list[int], list[int], list[int]]:
     return sets, list(index), owner
 
 
-def _linear_subclasses(m: Matroid, hyperplanes: list[int]):
-    """Yield every linear subclass of the hyperplanes as a bitmask of indices.
+def _linear_subclasses(sets: list[int], owner: list[int], count: int):
+    """Yield every linear subclass of the count hyperplanes as a bitmask of
+    indices, from `_hyperplanes`' independent (r-1)-sets and their owners.
 
-    Two hyperplanes whose meet has rank r - 2 are a modular pair, and the
-    meet is a coline; every two hyperplanes over a coline meet in it.  A
-    linear subclass holds either at most one hyperplane over each coline or
-    all of them (Crapo 1965; Oxley section 7.2).  Hyperplanes are decided in
-    index order, each first left out and then put in, and a branch dies as
-    soon as some coline has two hyperplanes in and one out.
+    The hyperplanes over a coline are the closures of the independent
+    (r-1)-sets above any independent (r-2)-set J spanning it, so dropping
+    each element from each set collects them.  A linear subclass holds
+    either at most one hyperplane over each coline or all of them (Crapo
+    1965; Oxley section 7.2).  Hyperplanes are decided in index order, each
+    first left out and then put in, and a branch dies as soon as some
+    coline has two hyperplanes in and one out.
     """
-    rank_of_meet = {}
-    for a, b in combinations(hyperplanes, 2):
-        if a & b not in rank_of_meet:
-            rank_of_meet[a & b] = m.rank_of(a & b)
-    over = ([k for k, h in enumerate(hyperplanes) if h & c == c]
-            for c, rank in rank_of_meet.items() if rank == m.r - 2)
+    over: dict[int, int] = {}
+    for s, h in zip(sets, owner):
+        for e in _bit_positions(s):
+            j = s & ~(1 << e)
+            over[j] = over.get(j, 0) | 1 << h
     # a coline under only two hyperplanes constrains nothing
-    lines = [sum(1 << k for k in ks) for ks in over if len(ks) > 2]
-    count = len(hyperplanes)
+    lines = {line for line in over.values() if line.bit_count() > 2}
     lines_through = [[line for line in lines if line >> k & 1] for k in range(count)]
     stack = [(0, 0, 0)]
     while stack:
@@ -165,16 +165,21 @@ def _linear_subclasses(m: Matroid, hyperplanes: list[int]):
             stack.append((k + 1, inside, out | 1 << k))
 
 
-def extend_by_element(m: Matroid) -> list[Matroid]:
-    """All matroids on [n+1] whose deletion of element n+1 gives m.
+def extend_by_element(m: Matroid, automorphisms=()) -> list[Matroid]:
+    """The matroids on [n+1] whose deletion of element n+1 gives m, one per
+    orbit under the given automorphisms of m.
 
     The coloop comes first.  Every other extension puts the new element on
     the hyperplanes of one linear subclass (Crapo 1965): I + (n+1) is a
     basis exactly when the closure of the independent (r-1)-set I is outside
     the subclass.  All hyperplanes give the loop and none the free
     extension.  Children come in descending order of the vector that marks
-    which independent (r-1)-sets, taken ascending, gain the new element;
-    that order decides which child of each orbit is canonically labelled.
+    which independent (r-1)-sets, taken ascending, gain the new element.
+
+    An automorphism g of m, extended to fix n+1, fixes the coloop and maps
+    the child of subclass L onto the child of g(L).  Only the first child
+    of each orbit of subclasses under the given automorphisms is built, so
+    with none every extension is.  They need not generate Aut(m).
     """
     n, r = m.n, m.r
     if n + 1 > MAX_ELEMENTS:
@@ -182,37 +187,23 @@ def extend_by_element(m: Matroid) -> list[Matroid]:
     ebit = 1 << n
     out = [m.direct_sum(Matroid(1, 1, (1,)))]  # coloop extension
     sets, hyperplanes, owner = _hyperplanes(m)
-    for inside in _linear_subclasses(m, hyperplanes):
-        # new bases hold bit n, so they sort after every basis of m
-        extra = tuple(s | ebit for s, h in zip(sets, owner) if not inside >> h & 1)
-        out.append(Matroid(n + 1, r, m.bases + extra))
-    return out
-
-
-def _orbit_representatives(parent: Matroid):
-    """Yield the first child of each orbit of extend_by_element(parent).
-
-    Orbits are taken under Aut(parent)'s generators, each extended to fix the
-    new element, so each maps an extension to an isomorphic one.  Pruning
-    needs only that every generator is an automorphism, not that they
-    generate the whole group.  A generator fixes the parent's bases setwise,
-    so it acts on a child through the bases containing the new element; the
-    coloop child is told apart by the size of those bases.
-    """
-    n = parent.n
-    ebit = 1 << n
-    children = extend_by_element(parent)
-    added = [frozenset(b for b in child.bases if b & ebit) for child in children]
-    index = {fam: i for i, fam in enumerate(added)}
-    masks = frozenset().union(*added)
+    subclasses = list(_linear_subclasses(sets, owner, len(hyperplanes)))
+    position = {inside: i for i, inside in enumerate(subclasses)}
+    index = {h: k for k, h in enumerate(hyperplanes)}
     pairs = []
-    for g in automorphism_generators(parent):
-        image_of = {b: apply_perm_mask(b, g + (n + 1,)) for b in masks}.__getitem__
-        pairs += [(i, index[frozenset(map(image_of, fam))]) for i, fam in enumerate(added)]
-    roots = _partition_roots(len(children), pairs)
-    for i, child in enumerate(children):
+    for g in automorphisms:
+        image = [1 << index[apply_perm_mask(h, g)] for h in hyperplanes]
+        pairs += [
+            (i, position[sum(image[k] for k in _bit_positions(inside))])
+            for i, inside in enumerate(subclasses)
+        ]
+    roots = _partition_roots(len(subclasses), pairs)
+    for i, inside in enumerate(subclasses):
         if roots[i] == i:
-            yield child
+            # new bases hold bit n, so they sort after every basis of m
+            extra = tuple(s | ebit for s, h in zip(sets, owner) if not inside >> h & 1)
+            out.append(Matroid(n + 1, r, m.bases + extra))
+    return out
 
 
 def _extension_step(parents) -> tuple[Matroid, ...]:
@@ -220,7 +211,7 @@ def _extension_step(parents) -> tuple[Matroid, ...]:
     return _classes(
         canonical_key(child)
         for parent in parents
-        for child in _orbit_representatives(parent)
+        for child in extend_by_element(parent, automorphism_generators(parent))
     )
 
 

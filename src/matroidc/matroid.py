@@ -299,14 +299,11 @@ class Matroid:
 
         want = canonical_form(pattern)[0]
         count = len(pattern.bases)
-        seen = set()
         for m in self.minors(pattern.n, pattern.r):
             # Isomorphism preserves the basis count, so most minors are
-            # ruled out without a canonical search.
-            if len(m.bases) != count or m in seen:
-                continue
-            seen.add(m)
-            if canonical_form(m)[0] == want:
+            # ruled out without a canonical search; a repeated minor is a
+            # cache hit in canonical_form.
+            if len(m.bases) == count and canonical_form(m)[0] == want:
                 return True
         return False
 

@@ -55,6 +55,17 @@ def test_homology_simple(capsys):
     assert betti == [1, 1, 0, 0, 0, 0]
 
 
+def test_binary_census_serves_the_regular_complex(capsys, tmp_path):
+    # regular classes are binary, so a census declared binary holds them all
+    p = tmp_path / "binary.mtrd"
+    reps = [m for n in range(6) for m in enumerate_all(n) if m.is_binary()]
+    write_mtrd(str(p), reps, coverage=range(6), tags=["binary"])
+    argv = ("homology", "--spec", "regular", "--kind", "del", "--max-n", "4")
+    code, out, err = run(capsys, *argv, "--source", str(p))
+    assert code == 0, err
+    assert (code, out) == run(capsys, *argv)[:2]
+
+
 def test_homology_exact_flag(capsys):
     a = run(capsys, "homology", "--spec", "all", "--kind", "con", "--max-n", "4")
     b = run(

@@ -276,6 +276,36 @@ def test_source_tag_compatibility(tmp_path, source):
     assert chain_basis(3, ComplexSpec.parse("simple"), src).dim >= 0
 
 
+@pytest.mark.parametrize("declared,spec,served", [
+    ("binary", "binary", True),
+    ("binary", "binary,regular", True),
+    ("binary", "regular", True),
+    ("binary", "graphic", True),
+    ("binary", "cographic,simple", True),
+    ("ternary", "regular", True),
+    ("binary,ternary", "graphic", True),
+    ("regular", "cographic", True),
+    ("loopless", "simple", True),
+    ("connected", "regular,simple,connected", True),
+    ("binary", "ternary", False),
+    ("binary", "all", False),
+    ("regular", "binary", False),
+    ("graphic", "regular", False),
+    ("simple", "loopless", False),
+    ("connected", "simple", False),
+])
+def test_declared_tags_serve_the_specs_they_contain(declared, spec, served):
+    from matroidc.enumerate import FileSource
+
+    src = FileSource({}, range(8), declared.split(","))
+    spec = ComplexSpec.parse(spec)
+    if served:
+        complexes._check_source_tags(spec, src)
+    else:
+        with pytest.raises(SourceIncomplete, match="cannot serve spec"):
+            complexes._check_source_tags(spec, src)
+
+
 def test_betti_at_bidegree_contraction_side(source):
     # con fixes nullity: the (2,1) slice is spanned by the coloop+loop class,
     # whose contraction boundary hits the loop class

@@ -1,17 +1,22 @@
 """Generation routes, dedup, and census-file parsing."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from matroidc.canonical import apply_perm_mask, automorphism_generators, canonical_key
+from matroidc.canonical import (
+    apply_perm_mask,
+    automorphism_generators,
+    canonical_key,
+    relabel,
+)
 from matroidc.enumerate import (
     EnumeratorSource,
     _exchange_families,
     _extension_step,
     _hyperplanes,
     _linear_subclasses,
-    _orbit_representatives,
     enumerate_all,
     enumerate_by_extension,
     extend_by_element,
@@ -26,7 +31,15 @@ from matroidc.errors import (
     ParseError,
     SourceIncomplete,
 )
-from matroidc.matroid import EMPTY, Matroid, check_exchange, uniform
+from matroidc.matroid import (
+    EMPTY,
+    Matroid,
+    check_exchange,
+    complete_graph,
+    fano,
+    graphic,
+    uniform,
+)
 from oracles import enumerate_direct
 
 
@@ -141,7 +154,7 @@ def test_linear_subclasses_match_bruteforce():
                 if all(inside >> k & 1 for a, b, over in pairs
                        if inside >> a & 1 and inside >> b & 1 for k in over)
             ]
-            assert sorted(_linear_subclasses(m, hyperplanes)) == brute, m
+            assert sorted(_linear_subclasses(sets, owner, len(hyperplanes))) == brute, m
 
 
 def test_extensions_are_matroids_that_delete_to_the_parent():
@@ -168,7 +181,7 @@ def test_pruned_step_keeps_every_child_class():
 def test_pruning_skips_isomorphic_children():
     parent = uniform(2, 4)
     children = extend_by_element(parent)
-    kept = list(_orbit_representatives(parent))
+    kept = extend_by_element(parent, automorphism_generators(parent))
     assert len(kept) < len(children)
     assert {canonical_key(m) for m in kept} == {canonical_key(m) for m in children}
 
@@ -202,7 +215,28 @@ def bfs_orbit_representatives(parent):
 def test_orbit_representatives_match_bfs():
     for n in range(0, 6):
         for parent in enumerate_all(n):
-            assert list(_orbit_representatives(parent)) == bfs_orbit_representatives(parent)
+            kept = extend_by_element(parent, automorphism_generators(parent))
+            assert kept == bfs_orbit_representatives(parent)
+
+
+LABELLED_PARENTS = [
+    ("F7", fano()),  # |Aut| = 168
+    ("F7*", fano().dual()),
+    ("M(K4)", graphic(complete_graph(4))),
+    ("U(3,6)", uniform(3, 6)),
+    ("U(2,5)", uniform(2, 5)),
+] + [(f"n6-{i}", m) for i, m in enumerate(enumerate_all(6))]
+
+
+@pytest.mark.parametrize("name,m", LABELLED_PARENTS, ids=[x for x, _ in LABELLED_PARENTS])
+def test_orbit_step_on_labelled_parents(name, m):
+    # a relabelled parent is not a canonical representative, so its
+    # generators come from its own search rather than from the class's
+    parent = relabel(m, tuple(random.Random(name).sample(range(1, m.n + 1), m.n)))
+    kept = extend_by_element(parent, automorphism_generators(parent))
+    assert kept == bfs_orbit_representatives(parent)
+    every_child = {canonical_key(child) for child in extend_by_element(parent)}
+    assert {canonical_key(child) for child in kept} == every_child
 
 
 def test_degree_limit():
