@@ -2,10 +2,10 @@
 
 A chain basis in degree n consists of the canonical keys of all matroids
 on [n] that survive orientation (no odd automorphism) and satisfy the
-requested combinatorial property.  Differential matrices carry the two
-signs of the basis formula: the interior-product sign (-1)^(i-1) of the
-deleted or contracted element, and the relabeling sign that moves the
-child back onto its canonical representative.
+requested property tags.  Differential matrices carry the two signs of the
+basis formula: the interior-product sign (-1)^(i-1) of the deleted or
+contracted element, and the relabeling sign that moves the child back onto
+its canonical representative.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ def parse_kind(text: str) -> DifferentialKind:
         raise InvalidSpec(f"unknown differential kind {text!r}") from None
 
 
+# The tags of a spec or a census, each with its predicate.
 PROPERTY_TAGS = {
     "simple": Matroid.is_simple,
     "loopless": Matroid.is_loopless,
@@ -80,6 +81,7 @@ PROPERTY_TAGS = {
     "regular": Matroid.is_regular,
     "graphic": Matroid.is_graphic,
     "cographic": Matroid.is_cographic,
+    "connected": Matroid.is_connected,
 }
 
 _SELF_DUAL_TAGS = {"binary", "ternary", "regular"}
@@ -96,19 +98,24 @@ _TAG_IMPLICATIONS = {
 }
 
 
+def _implied(tags) -> frozenset[str]:
+    """The tags, closed under implication."""
+    return frozenset(tags).union(*(_TAG_IMPLICATIONS.get(t, ()) for t in tags))
+
+
 @dataclass(frozen=True)
 class ComplexSpec:
-    """Which subcomplex: property tags, connected quotient, optional slice."""
+    """Which subcomplex: property tags, "connected" among them for the
+    connected quotient, and an optional slice."""
 
     tags: frozenset[str] = frozenset()
-    connected: bool = False
     slice: tuple[str, int] | None = None
 
     def __post_init__(self):
         unknown = self.tags - set(PROPERTY_TAGS)
         if unknown:
             raise InvalidSpec(f"unknown property tags: {sorted(unknown)}")
-        if self.connected and not self.tags & {"simple", "loopless"}:
+        if "connected" in self.tags and not self.tags & {"simple", "loopless"}:
             raise InvalidSpec(
                 "the connected quotient needs a loopless property "
                 "(add 'simple' or 'loopless')"
@@ -118,52 +125,23 @@ class ComplexSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ComplexSpec":
-        tags = set()
-        connected = False
-        for tok in text.replace("+", ",").split(","):
-            tok = tok.strip().lower()
-            if not tok or tok == "all":
-                continue
-            if tok == "connected":
-                connected = True
-            else:
-                tags.add(tok)
-        return cls(frozenset(tags), connected)
+        tokens = {tok.strip().lower() for tok in text.replace("+", ",").split(",")}
+        return cls(frozenset(tokens - {"", "all"}))
 
     def label(self) -> str:
-        # joined with '+' so the label stays a single CSV field
-        parts = sorted(self.tags)
-        if self.connected:
-            parts.append("connected")
+        # the sorted tags with "connected" last, joined with '+' so the
+        # label stays a single CSV field
+        parts = sorted(self.tags, key=lambda t: (t == "connected", t))
         return "+".join(parts) if parts else "all"
 
     def with_slice(self, slc) -> "ComplexSpec":
-        return ComplexSpec(self.tags, self.connected, slc)
-
-    def expanded_tags(self) -> frozenset[str]:
-        out = set(self.tags)
-        for t in self.tags:
-            out |= _TAG_IMPLICATIONS.get(t, set())
-        if self.connected:
-            out.add("connected")
-        return frozenset(out)
-
-    def admits(self, m: Matroid) -> bool:
-        for t in self.tags:
-            if not PROPERTY_TAGS[t](m):
-                return False
-        if self.connected and not m.is_connected():
-            return False
-        return True
+        return ComplexSpec(self.tags, slc)
 
     def key_in_slice(self, key: CanonicalKey) -> bool:
         if self.slice is None:
             return True
         what, val = self.slice
         return (key.r == val) if what == "rank" else (key.n - key.r == val)
-
-    def is_self_dual(self) -> bool:
-        return not self.connected and self.tags <= _SELF_DUAL_TAGS
 
 
 ALL = ComplexSpec()
@@ -183,9 +161,8 @@ class ChainBasis:
 
 
 def _check_source_tags(spec: ComplexSpec, source) -> None:
-    tags = source.tags()
-    declared = ComplexSpec(tags - {"connected"}).expanded_tags() | tags
-    if not declared <= spec.expanded_tags():
+    declared = _implied(source.tags())
+    if not declared <= _implied(spec.tags):
         raise SourceIncomplete(
             f"source restricted to {sorted(declared)} cannot serve spec "
             f"{spec.label()!r}"
@@ -197,6 +174,7 @@ def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
     if n < 0:
         return ChainBasis(n, ())
     _check_source_tags(spec, source)
+    tests = [PROPERTY_TAGS[t] for t in spec.tags]
     keys = []
     for m in source.require(n):
         key = canonical_form(m)[0]
@@ -204,7 +182,7 @@ def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
             continue
         if not spec.key_in_slice(key):
             continue
-        if not spec.admits(m):
+        if not all(holds(m) for holds in tests):
             continue
         keys.append(key)
     keys.sort(key=lambda k: k.encoding)
@@ -337,9 +315,10 @@ def dualize_basis_map(
     differentials with contraction-side ones.
     """
     if dual_spec is None:
-        if not spec.is_self_dual() or spec.slice is not None:
+        if not spec.tags <= _SELF_DUAL_TAGS or spec.slice is not None:
             raise PropertyNotDualityStable(
-                f"spec {spec.label()!r} is not duality stable; pass dual_spec"
+                f"spec {spec.label()!r} is not duality stable; duality-stable "
+                f"specs take only the tags {', '.join(sorted(_SELF_DUAL_TAGS))}"
             )
         dual_spec = spec
     cols = chain_basis(n, spec, source)

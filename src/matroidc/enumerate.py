@@ -322,11 +322,6 @@ def _dedup_canonical(records):
     return by_degree, duplicates
 
 
-# Tags a census may declare, with the predicate each record must pass: the
-# property predicates, and connectivity for the connected quotient.
-_DECLARABLE_TAGS = {**PROPERTY_TAGS, "connected": Matroid.is_connected}
-
-
 def _coverage_degrees(tok: str, ln: int) -> range:
     """Degrees named by one coverage token: 'n' or an inclusive range 'a-b'."""
     lo, dash, hi = tok.partition("-")
@@ -357,7 +352,7 @@ def _parse_directives(lines):
                 coverage.update(_coverage_degrees(tok, ln))
         elif body.startswith("property:"):
             for tag in body[len("property:"):].replace(",", " ").split():
-                if tag not in _DECLARABLE_TAGS:
+                if tag not in PROPERTY_TAGS:
                     raise ParseError(f"unknown property tag {tag!r}", line=ln)
                 tags.add(tag)
     return coverage, frozenset(tags)
@@ -368,12 +363,12 @@ def _file_source(path: str, comments, records) -> FileSource:
 
     Without a coverage directive, exactly the degrees present are claimed;
     with one, a record on any other degree is a ParseError.  So is a record
-    that fails a declared property tag.
+    that fails a declared tag of `complexes.PROPERTY_TAGS`.
     """
     coverage, tags = _parse_directives(comments)
     if coverage is None:
         coverage = {m.n for _, m in records}
-    checks = [(t, _DECLARABLE_TAGS[t]) for t in sorted(tags)]
+    checks = [(t, PROPERTY_TAGS[t]) for t in sorted(tags)]
     for ln, m in records:
         if m.n not in coverage:
             raise ParseError(
@@ -393,9 +388,13 @@ def _read_lines(path: str) -> list[str]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return data.decode("utf-8").splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read source file {path}: {exc.strerror}") from None
+    # Lines end at \n, \r\n or \r only: str.splitlines would also break at
+    # U+2028, form feeds and the like.  No UTF-8 sequence holds these bytes.
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path} is not UTF-8 text", line=line) from None

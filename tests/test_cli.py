@@ -134,6 +134,19 @@ def test_verify_rejects_spec_for_whole_algebra_suites(capsys):
     assert code == 0
 
 
+def test_duality_suite_names_the_stable_tags(capsys):
+    # the command line cannot pass a dual spec, so the message names the
+    # tags the suite accepts
+    code, out, err = run(
+        capsys, "verify", "--suite", "duality", "--spec", "simple,connected", "--max-n", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid request: spec 'simple+connected' is not duality stable; "
+        "duality-stable specs take only the tags binary, regular, ternary\n"
+    )
+
+
 def test_enumerate_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "m4.mtrd"
     code, _, _ = run(capsys, "enumerate", "--n", "4", "--out", str(out_path))

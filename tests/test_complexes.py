@@ -1,5 +1,7 @@
 """Chain bases, differential matrices, verifiers, duality, homology."""
 
+from itertools import combinations
+
 import pytest
 
 from matroidc import complexes
@@ -22,7 +24,7 @@ from matroidc.complexes import (
     verify_duality,
     verify_square_zero,
 )
-from matroidc.enumerate import EnumeratorSource
+from matroidc.enumerate import EnumeratorSource, parse_mtrd, write_mtrd
 from matroidc.errors import InvalidSpec, PropertyNotDualityStable, SourceIncomplete
 from matroidc.linalg import RankPolicy, SparseIntMatrix, rank_exact
 from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
@@ -31,7 +33,7 @@ from oracles import mu_sign, verify_bidegrees
 
 def test_spec_parsing():
     s = ComplexSpec.parse("regular, simple, connected")
-    assert s.tags == {"regular", "simple"} and s.connected
+    assert s.tags == {"regular", "simple", "connected"}
     assert s.label() == "regular+simple+connected"
     assert ComplexSpec.parse("all").label() == "all"
     with pytest.raises(InvalidSpec):
@@ -304,6 +306,37 @@ def test_declared_tags_serve_the_specs_they_contain(declared, spec, served):
     else:
         with pytest.raises(SourceIncomplete, match="cannot serve spec"):
             complexes._check_source_tags(spec, src)
+
+
+@pytest.mark.parametrize("declared", [
+    {"simple"}, {"binary"}, {"regular"}, {"graphic"}, {"simple", "connected"},
+], ids="+".join)
+def test_census_serves_the_enumerators_chain_bases(declared, tmp_path):
+    # an MTRD census of every class with n <= 6 that carries the declared
+    # tags; MTRD only, as there is no F2DB writer
+    enumerated = EnumeratorSource(6)
+    classes = {
+        n: tuple(m for m in enumerated.representatives(n)
+                 if all(complexes.PROPERTY_TAGS[t](m) for t in declared))
+        for n in range(7)
+    }
+    path = str(tmp_path / "c.mtrd")
+    write_mtrd(path, [m for n in range(7) for m in classes[n]], range(7), declared)
+    census = parse_mtrd(path)
+    assert census.tags() == declared
+    assert {n: census.representatives(n) for n in range(7)} == classes
+    served = 0
+    for size in range(len(complexes.PROPERTY_TAGS) + 1):
+        for tags in combinations(complexes.PROPERTY_TAGS, size):
+            try:
+                spec = ComplexSpec(frozenset(tags))
+                complexes._check_source_tags(spec, census)
+            except (InvalidSpec, SourceIncomplete):
+                continue
+            served += 1
+            for n in range(7):
+                assert chain_basis(n, spec, census) == chain_basis(n, spec, enumerated)
+    assert served
 
 
 def test_betti_at_bidegree_contraction_side(source):

@@ -359,6 +359,48 @@ def test_census_records_duplicate_lines(tmp_path):
     assert [(ln, first) for ln, first, _ in parse_f2db(str(f)).duplicates] == [(4, 1)]
 
 
+# Characters str.splitlines breaks at that a census line keeps.
+_NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_census_lines_break_only_at_newlines(tmp_path, sep):
+    # the comment on line 2 stays one line, so the record after it parses
+    # and a bad record on line 4 is named as line 4
+    p = tmp_path / "c.mtrd"
+    p.write_bytes(f"MTRD 1\n# note {sep} continued\n2 1 2 1 2\n".encode())
+    (m,) = parse_mtrd(str(p)).representatives(2)
+    assert canonical_key(m) == canonical_key(uniform(1, 2))
+    p.write_bytes(f"MTRD 1\n# note {sep} continued\n2 1 2 1 2\n2 1 x\n".encode())
+    with pytest.raises(ParseError) as exc:
+        parse_mtrd(str(p))
+    assert exc.value.line == 4
+    f = tmp_path / "c.f2db"
+    f.write_bytes(f"# note {sep} continued\n11\n".encode())
+    (m,) = parse_f2db(str(f)).representatives(2)
+    assert canonical_key(m) == canonical_key(uniform(1, 2))
+    f.write_bytes(f"# note {sep} continued\n11\n\n12\n".encode())
+    with pytest.raises(ParseError) as exc:
+        parse_f2db(str(f))
+    assert exc.value.line == 4
+
+
+def test_census_lines_break_at_crlf_and_cr(tmp_path):
+    p = tmp_path / "c.mtrd"
+    p.write_bytes(b"MTRD 1\r\n# coverage: 1 2\r1 1 1 1\r\n2 1 2 1 2\r")
+    src = parse_mtrd(str(p))
+    assert [len(src.representatives(n)) for n in (1, 2)] == [1, 1]
+    f = tmp_path / "c.f2db"
+    f.write_bytes(b"# coverage: 2\r\n10\r01\r\n\r\n11\r2\n")
+    with pytest.raises(ParseError) as exc:
+        parse_f2db(str(f))
+    assert exc.value.line == 6
+    p.write_bytes(b"MTRD 1\r# c\r\n\xff\r")
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        parse_mtrd(str(p))
+    assert exc.value.line == 3
+
+
 # -- F2DB ----------------------------------------------------------------------
 
 
