@@ -1,4 +1,4 @@
-"""Oriented matroid classes as sparse rational vectors over canonical keys.
+"""Oriented matroid classes as sparse integer vectors over canonical keys.
 
 Orientations are never stored: a matroid on [n] implicitly carries the
 standard orientation 1^2^...^n, and every orientation comparison reduces
@@ -10,7 +10,6 @@ extension `ClassVector.map` of what it does to one key.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
 from .canonical import CanonicalKey, canonical_form, perm_sign
@@ -30,21 +29,19 @@ def normalize(m: Matroid) -> tuple[CanonicalKey, int] | None:
 
 
 class ClassVector:
-    """Immutable sparse rational linear combination of canonical keys.
+    """Immutable sparse linear combination of canonical keys.
 
     A key is a `CanonicalKey`, or a tuple of them for a term of a tensor
-    power (the coproduct lands in the tensor square).
+    power (the coproduct lands in the tensor square).  Each nonzero
+    coefficient is kept as given: every operator has structure constants
+    +-1, so classes built from keys hold ints, and an exact rational
+    coefficient that a caller passes in stays exact.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    clean[k] = Fraction(c)
-        self.terms = clean
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
     def accumulate(cls, pairs) -> "ClassVector":
@@ -55,12 +52,12 @@ class ClassVector:
         return cls(out)
 
     @classmethod
-    def of(cls, m: Matroid, coeff=1) -> "ClassVector":
+    def of(cls, m: Matroid) -> "ClassVector":
         nz = normalize(m)
         if nz is None:
             return cls()
         key, sign = nz
-        return cls({key: Fraction(coeff) * sign})
+        return cls({key: sign})
 
     @classmethod
     def unit(cls) -> "ClassVector":
@@ -79,11 +76,10 @@ class ClassVector:
         return ClassVector.accumulate(chain(self.terms.items(), other.terms.items()))
 
     def scale(self, c) -> "ClassVector":
-        c = Fraction(c)
         return ClassVector({k: v * c for k, v in self.terms.items()})
 
-    def coefficient(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coefficient(self, key):
+        return self.terms.get(key, 0)
 
     def degrees(self) -> set[int]:
         return {k.n for k in self.terms}

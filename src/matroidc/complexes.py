@@ -62,13 +62,10 @@ class DifferentialKind(str, Enum):
         return "rank" if lowers_nullity else "nullity"
 
 
-KIND_ALIASES = {k.value: k for k in DifferentialKind}
-
-
 def parse_kind(text: str) -> DifferentialKind:
     try:
-        return KIND_ALIASES[text.strip().lower()]
-    except KeyError:
+        return DifferentialKind(text.strip().lower())
+    except ValueError:
         raise InvalidSpec(f"unknown differential kind {text!r}") from None
 
 

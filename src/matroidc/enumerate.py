@@ -390,6 +390,9 @@ def _read_lines(path: str) -> list[str]:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read source file {path}: {exc.strerror}") from None
+    # A leading byte-order mark is dropped from the bytes, not by the
+    # utf-8-sig codec, whose error offsets would not count its 3 bytes.
+    data = data.removeprefix(b"\xef\xbb\xbf")
     # Lines end at \n, \r\n or \r only: str.splitlines would also break at
     # U+2028, form feeds and the like.  No UTF-8 sequence holds these bytes.
     data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")

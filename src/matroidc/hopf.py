@@ -8,14 +8,14 @@ then its complement, and charge the sign of that shuffle to the term.  The
 grading is ground-set size; graded signs follow the Koszul rule, with each
 differential sitting in degree -1.
 
-Every operator here extends linearly through `ClassVector.map`.  A map f of
-degree k acts on factor i of a tensor term through `_on_factor`, which
-charges the Koszul sign (-1)^(k * |factors before i|).
+Every operator here extends linearly through `ClassVector.map`.  The one
+product of two keys is `_key_product`; `star` and the product on the tensor
+square, `_tensor_star`, both go through it.  A map f of degree k acts on
+factor i of a tensor term through `_on_factor`, which charges the Koszul
+sign (-1)^(k * |factors before i|).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .canonical import canonical_key
 from .classes import ClassVector, normalize
@@ -32,21 +32,24 @@ from .matroid import EMPTY, uniform
 unit = ClassVector.unit
 
 
+def _key_product(ka, kb):
+    """Signed class of the direct sum of two keys: zero or one (key, sign)."""
+    nz = normalize(ka.matroid().direct_sum(kb.matroid()))
+    return () if nz is None else (nz,)
+
+
 def star(a: ClassVector, b: ClassVector) -> ClassVector:
     """Bilinear extension of direct sum to classes."""
 
     def times_b(ka):
-        ma = ka.matroid()
         for kb, cb in b.terms.items():
-            nz = normalize(ma.direct_sum(kb.matroid()))
-            if nz is not None:
-                key, s = nz
+            for key, s in _key_product(ka, kb):
                 yield key, cb * s
 
     return a.map(times_b)
 
 
-def counit(v: ClassVector) -> Fraction:
+def counit(v: ClassVector):
     return v.coefficient(canonical_key(EMPTY))
 
 
@@ -144,10 +147,8 @@ def _tensor_star(t1: ClassVector, t2: ClassVector) -> ClassVector:
         ka, kb = key
         for (kc, kd), c2 in t2.terms.items():
             sign = -1 if (kb.n * kc.n) % 2 else 1
-            ac = star(ClassVector({ka: 1}), ClassVector({kc: 1}))
-            bd = star(ClassVector({kb: 1}), ClassVector({kd: 1}))
-            for k1, u in ac.terms.items():
-                for k2, w in bd.terms.items():
+            for k1, u in _key_product(ka, kc):
+                for k2, w in _key_product(kb, kd):
                     yield (k1, k2), c2 * sign * u * w
 
     return t1.map(times_t2)

@@ -401,6 +401,23 @@ def test_census_lines_break_at_crlf_and_cr(tmp_path):
     assert exc.value.line == 3
 
 
+def test_census_may_start_with_a_byte_order_mark(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    p = tmp_path / "c.mtrd"
+    p.write_bytes(bom + b"MTRD 1\n2 1 2 1 2\n")
+    (m,) = load_source(str(p)).representatives(2)
+    assert canonical_key(m) == canonical_key(uniform(1, 2))
+    f = tmp_path / "c.f2db"
+    f.write_bytes(bom + b"11\n")
+    (m,) = load_source(str(f)).representatives(2)
+    assert canonical_key(m) == canonical_key(uniform(1, 2))
+    # the mark's 3 bytes do not shift the line a bad byte is named at
+    p.write_bytes(bom + b"MTRD 1\n# c\n\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_source(str(p))
+    assert exc.value.line == 3
+
+
 # -- F2DB ----------------------------------------------------------------------
 
 

@@ -97,6 +97,37 @@ def test_counit():
     assert counit(v) == 3
 
 
+def test_operators_on_basis_classes_keep_int_coefficients(source):
+    # every structure constant is +-1, so nothing built from basis keys
+    # leaves the integers
+    keys = [key for n in range(0, 5) for key in chain_basis(n, ALL, source).keys]
+    outputs = {"coproduct": [], "differential": [], "homotopy": [], "star": []}
+    for key in keys:
+        v = ClassVector({key: 1})
+        outputs["coproduct"].append(coproduct(v))
+        for kind in K:
+            outputs["differential"].append(apply_differential(kind, v))
+            outputs["homotopy"].append(contracting_homotopy(kind, v))
+        outputs["star"].extend(star(v, ClassVector({k2: 1})) for k2 in keys)
+    for name, vectors in outputs.items():
+        coeffs = [c for v in vectors for c in v.terms.values()]
+        assert coeffs and all(type(c) is int for c in coeffs), name
+    assert type(counit(unit())) is int and counit(unit()) == 1
+
+
+def test_fraction_coefficients_stay_exact():
+    half = Fraction(1, 2)
+    k4 = cls(graphic(complete_graph(4)))
+    loop = cls(uniform(0, 1))
+    v = k4.scale(half)
+    assert v.add(v) == k4
+    assert v.add(loop).terms == {**v.terms, **loop.terms}
+    s = star(v, loop)
+    assert {abs(c) for c in s.terms.values()} == {half}
+    assert all(type(c) is Fraction for c in s.terms.values())
+    assert s.scale(2) == star(k4, loop)
+
+
 def test_coassociativity(source):
     assert verify_coassociativity(5, source).ok
 
