@@ -7,9 +7,14 @@ parent's extensions other than the coloop are in bijection with the linear
 subclasses of its hyperplanes (Crapo 1965), which a depth-first search over
 the hyperplanes lists.  The parent's automorphism generators permute the
 hyperplanes and so the subclasses, and only the first child of each orbit
-is built and canonically labelled; the rest are isomorphic to it.  The
-orbits are the classes of `matroid._partition_roots` over the pairs
-(subclass, its image under a generator).  The labelled exchange
+is built; the rest are isomorphic to it.  The orbits are the classes of
+`matroid._partition_roots` over the pairs (subclass, its image under a
+generator).  Canonical augmentation (McKay 1998) then keeps one child per
+class without comparing children: a child is kept only when its new
+element is, up to the child's automorphisms, the element that an
+isomorphism-invariant rule picks as its last.  The rule ranks elements by
+the number of bases through them, so most children are dropped by one pass
+over their bases, before any canonical search.  The labelled exchange
 backtracker `_exchange_families` drives the direct search over basis
 families that the tests keep as an independent oracle for n <= 6.
 """
@@ -19,7 +24,12 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .canonical import apply_perm_mask, automorphism_generators, canonical_key
+from .canonical import (
+    apply_perm_mask,
+    automorphism_generators,
+    canonical_form,
+    canonical_key,
+)
 from .complexes import PROPERTY_TAGS
 from .errors import (
     DegreeTooLarge,
@@ -179,7 +189,9 @@ def extend_by_element(m: Matroid, automorphisms=()) -> list[Matroid]:
     An automorphism g of m, extended to fix n+1, fixes the coloop and maps
     the child of subclass L onto the child of g(L).  Only the first child
     of each orbit of subclasses under the given automorphisms is built, so
-    with none every extension is.  They need not generate Aut(m).
+    with none every extension is.  They need not generate Aut(m) for this
+    function, but `_extension_step` relies on generators of the full group:
+    it keeps one child per orbit and so one per class.
     """
     n, r = m.n, m.r
     if n + 1 > MAX_ELEMENTS:
@@ -207,12 +219,51 @@ def extend_by_element(m: Matroid, automorphisms=()) -> list[Matroid]:
 
 
 def _extension_step(parents) -> tuple[Matroid, ...]:
-    """All classes on [n+1] from one representative of each class on [n]."""
-    return _classes(
-        canonical_key(child)
-        for parent in parents
-        for child in extend_by_element(parent, automorphism_generators(parent))
-    )
+    """All classes on [n+1] from parents that hold exactly one matroid of
+    each class on [n]: a complete, pairwise non-isomorphic set.
+
+    A child C adds the element e = n+1 to its parent.  It is kept only when
+    e lies in the Aut(C)-orbit of C's canonical last element: of the
+    elements in the most bases of C, the one with the largest canonical
+    label (McKay 1998).  That orbit is an isomorphism invariant, so each
+    class on [n+1] is kept once: from the class of C minus that element,
+    through the one child of its orbit under the parent's automorphisms.
+    A child with e outside the most bases is dropped unsearched, and one
+    with e alone there is kept without deciding; only the rest pay for
+    `canonical_form`'s witness and `automorphism_generators`' orbit.
+
+    A repeated parent class, or generators that miss part of Aut(parent),
+    can keep a class twice.  That raises MatroidError naming the key rather
+    than being merged in silence.
+    """
+    keys: set = set()
+    for parent in parents:
+        for child in extend_by_element(parent, automorphism_generators(parent)):
+            e = child.n - 1
+            counts = [0] * child.n
+            for b in child.bases:
+                for x in _bit_positions(b):
+                    counts[x] += 1
+            top = counts[e]
+            if max(counts) > top:
+                continue
+            key = canonical_key(child)
+            tied = [x for x, c in enumerate(counts) if c == top]
+            if len(tied) > 1:
+                witness = canonical_form(child)[1]
+                last = max(tied, key=lambda x: witness[x])
+                roots = _partition_roots(child.n, (
+                    (x, g[x] - 1) for g in automorphism_generators(child) for x in tied
+                ))
+                if roots[last] != roots[e]:
+                    continue
+            if key in keys:
+                raise MatroidError(
+                    f"extension step kept {key!r} twice: its parents repeat a class"
+                    " or their automorphism generators miss part of the group"
+                )
+            keys.add(key)
+    return _classes(keys)
 
 
 def enumerate_by_extension(n: int) -> list[Matroid]:

@@ -11,6 +11,7 @@ from matroidc.canonical import (
     canonical_key,
     relabel,
 )
+import matroidc.enumerate as enum_module
 from matroidc.enumerate import (
     EnumeratorSource,
     _exchange_families,
@@ -28,6 +29,7 @@ from matroidc.enumerate import (
 from matroidc.errors import (
     DegreeTooLarge,
     ExchangeViolation,
+    MatroidError,
     ParseError,
     SourceIncomplete,
 )
@@ -168,7 +170,8 @@ def test_extensions_are_matroids_that_delete_to_the_parent():
 
 
 def test_pruned_step_keeps_every_child_class():
-    for n in range(0, 6):
+    # the ungated child set is the oracle for the canonical-augmentation gate
+    for n in range(0, 7):
         parents = enumerate_all(n)
         every_child = {
             canonical_key(child)
@@ -176,6 +179,31 @@ def test_pruned_step_keeps_every_child_class():
             for child in extend_by_element(parent)
         }
         assert {canonical_key(m) for m in _extension_step(parents)} == every_child
+
+
+def test_step_is_independent_of_the_parents_labelling():
+    # census parents are arbitrary labellings, not canonical representatives
+    rng = random.Random(17)
+    for n in range(0, 6):
+        parents = enumerate_all(n)
+        relabelled = [relabel(m, tuple(rng.sample(range(1, n + 1), n))) for m in parents]
+        step = _extension_step(relabelled)
+        assert step == _extension_step(parents)
+
+
+def test_step_raises_on_a_repeated_parent_class():
+    parents = enumerate_all(5)
+    with pytest.raises(MatroidError, match="twice"):
+        _extension_step(parents + parents[:1])
+
+
+def test_step_raises_when_parent_pruning_sees_too_small_a_group(monkeypatch):
+    # with no generators every child of a parent is built, so a parent with
+    # two isomorphic children yields its class twice
+    parents = enumerate_all(5)
+    monkeypatch.setattr(enum_module, "automorphism_generators", lambda m: [])
+    with pytest.raises(MatroidError, match="twice"):
+        _extension_step(parents)
 
 
 def test_pruning_skips_isomorphic_children():
