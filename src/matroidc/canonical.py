@@ -26,7 +26,8 @@ search keeps only the candidates whose block is maximal:
     such automorphism into its orbits once, as it arrives, through
     `matroid._partition_roots`.
 
-Every fully-equal leaf yields an automorphism, and the set discovered this
+The first leaf reached is the incumbent, and every later leaf that ties it
+yields a new automorphism (McKay & Piperno 2014).  The set discovered this
 way generates the whole group, so after the search we know both the
 canonical key and whether some automorphism is odd.  Detecting an odd
 automorphism is what decides whether an oriented class survives, so that
@@ -157,13 +158,13 @@ class _CanonResult:
         self.generators = generators
 
 
-def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, list]:
+def _search(n: int, r: int, bases: tuple[int, ...]) -> tuple[Permutation, bool, list]:
     """Return (witness to the canonical labeling, odd flag, automorphism gens).
 
     The witness sigma satisfies: relabeling by sigma yields the canonical
     representative.  Generators are 0-based image tuples over range(n).
     """
-    completions = _completions(bases_set)
+    completions = _completions(bases)
     rests = [_fresh_rests(d, r) for d in range(n)]
     sizes = [len(_colex_combos(d, r - 1)) for d in range(n)]
     inherited = [0] + sizes[:-1]
@@ -209,13 +210,9 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                     return val, 0
         return val, avail
 
-    # Seed the incumbent with the identity labeling; it is a genuine leaf,
-    # so equality against it already certifies an automorphism.
-    best = [column(range(n), depth, 1 << depth, 0)[0] for depth in range(n)]
-
-    best_witness = list(range(n))  # 0-based: element i -> label best_witness[i]
+    best = [-1] * n  # every block beats -1
+    best_witness: list[int] = []  # 0-based: element i -> label best_witness[i]
     autos: list[tuple[int, ...]] = []
-    auto_set: set[tuple[int, ...]] = set()
     # moves[i]: the mask of the points autos[i] moves, and the pairs (p, psi(p)) there
     moves: list[tuple[int, tuple]] = []
     odd = False
@@ -234,23 +231,19 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                 # order achieves the same maximum as best_witness: the
                 # discrepancy is an automorphism of the input.
                 psi = tuple(order[best_witness[e]] for e in range(n))
-                if psi != tuple(range(n)) and psi not in auto_set:
-                    auto_set.add(psi)
-                    autos.append(psi)
-                    pairs = tuple((p, q) for p, q in enumerate(psi) if p != q)
-                    moves.append((sum(1 << p for p, _ in pairs), pairs))
-                    # The group has an odd element iff a generator is odd.
-                    if perm_sign(tuple(v + 1 for v in psi)) < 0:
-                        odd = True
+                autos.append(psi)
+                pairs = tuple((p, q) for p, q in enumerate(psi) if p != q)
+                moves.append((sum(1 << p for p, _ in pairs), pairs))
+                # The group has an odd element iff a generator is odd.
+                if perm_sign(tuple(v + 1 for v in psi)) < 0:
+                    odd = True
             return
 
-        # No reference exists at this depth on the first descent after an
-        # improvement shallower up.
-        ref = best[depth] if len(best) > depth else None
-        val, winners = column(order, depth, unused, ref or 0)
+        ref = best[depth]
+        val, winners = column(order, depth, unused, ref)
         if not winners:
             return
-        improved = ref is None or val > ref
+        improved = val > ref
 
         # Every winner has the same block, so only the first can improve;
         # they are walked in ascending element order.  Once a second winner
@@ -273,20 +266,20 @@ def _search(n: int, r: int, bases_set: frozenset) -> tuple[Permutation, bool, li
                 continue
             tried.add(root)
             if improved:
-                del best[depth:]
-                best.append(val)
+                best[depth:] = [val] + [-1] * (n - 1 - depth)
             order.append(e)
             unused ^= low
-            # An improvement truncates best, so every deeper edge on that
-            # descent appends and re-raises the flag; passing only this
-            # edge's flag therefore still marks champion leaves correctly,
-            # while equal siblings inside a rebuilt subtree count as ties.
+            # An improvement resets best below this depth to -1, so every
+            # deeper edge on that descent beats it and re-raises the flag;
+            # passing only this edge's flag therefore still marks champion
+            # leaves correctly, while equal siblings inside a rebuilt
+            # subtree count as ties.
             dfs(depth + 1, improved)
             order.pop()
             unused ^= low
             improved = False
 
-    dfs(0, False)
+    dfs(0, True)  # the first leaf is the incumbent, the empty one too at n = 0
     del dfs  # dfs refers to itself through its closure; free it on return
     witness = tuple(lab + 1 for lab in best_witness)
     return witness, odd, autos
@@ -302,7 +295,7 @@ def _canon(m: Matroid) -> _CanonResult:
     stored = _representatives.pop(m, None)
     if stored is not None:
         return stored
-    witness, odd, autos = _search(m.n, m.r, frozenset(m.bases))
+    witness, odd, autos = _search(m.n, m.r, m.bases)
     canon = relabel(m, witness)
     key = CanonicalKey(m.n, m.r, canon.bases, odd)
     gens = [tuple(v + 1 for v in psi) for psi in autos]

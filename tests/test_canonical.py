@@ -104,6 +104,22 @@ def test_search_matches_blockwise_reference():
         assert canonical._search(m.n, m.r, bases) == search_blockwise(m.n, m.r, bases), m
 
 
+def test_search_generators_hold_no_identity_and_no_repeat():
+    # the first leaf is the incumbent, so no later leaf retraces its path;
+    # and a node skips every sibling in the orbit of one already tried under
+    # the automorphisms found so far, so no generator is found twice
+    assert _search(0, 0, (0,)) == ((), False, [])
+    for n in range(8):
+        for m in enumerate_all(n):
+            for seed in range(3):
+                p = list(range(1, n + 1))
+                random.Random(seed * 1000 + n).shuffle(p)
+                q = relabel(m, tuple(p))
+                _, _, gens = _search(q.n, q.r, q.bases)
+                assert tuple(range(n)) not in gens, q
+                assert len(set(gens)) == len(gens), q
+
+
 def test_fresh_subsets_follow_the_parents_in_colex_order():
     # a node at depth d scans its parent's (r-1)-subsets, then its fresh
     # ones; together they must be every (r-1)-subset of range(d), in colex

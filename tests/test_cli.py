@@ -168,6 +168,25 @@ def test_unwritable_out_is_a_source_error(argv, tmp_path, capsys):
     assert code == 2 and err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (("dims", "--spec", "simple", "--max-n", "4"), 0),
+    (("homology", "--spec", "simple", "--kind", "del", "--max-n", "4"), 0),
+    (("verify", "--suite", "square", "--max-n", "4"), 0),
+    (("export-matrix", "--kind", "del", "--n", "2"), 0),
+    # a repeated record: exit 2, and the report is still written
+    (("ingest-check", "--source", "{census}"), 2),
+])
+def test_out_holds_the_bytes_stdout_would(argv, exit_code, tmp_path, capsys):
+    census = tmp_path / "dup.mtrd"
+    census.write_text("MTRD 1\n1 1 1 1\n1 1 1 1\n")
+    argv = [a.format(census=census) for a in argv]
+    code, printed, err = run(capsys, *argv)
+    assert code == exit_code and printed
+    out_path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(out_path)) == (exit_code, "", err)
+    assert out_path.read_bytes() == printed.encode()
+
+
 @pytest.mark.parametrize("n", ["-1", "8"])
 def test_enumerate_degree_outside_the_builtin_range(n, tmp_path, capsys):
     code, _, err = run(capsys, "enumerate", "--n", n, "--out", str(tmp_path / "x.mtrd"))
@@ -232,6 +251,10 @@ def test_ingest_check_parse_error(tmp_path, capsys):
     p.write_text("not a census\n")
     code, _, err = run(capsys, "ingest-check", "--source", str(p))
     assert code == 3 and "parse error" in err
+    p.write_text("MTRD 1\n2 1\n")
+    code, out, err = run(capsys, "ingest-check", "--source", str(p))
+    assert (code, out) == (3, "")
+    assert err == "parse error: record needs at least n, r and a count (line 2)\n"
 
 
 def test_ingest_check_reports_duplicates(tmp_path, capsys):

@@ -233,6 +233,29 @@ def test_homology_exact_policy_matches_default(source):
     assert all(r.certified == "exact" for r in exact)
 
 
+class UndercountingPolicy(RankPolicy):
+    """Modular ranks one short of the exact ones: a lower bound, as the
+    policy's contract allows, so the Betti numbers it gives are too large."""
+
+    def rank(self, mat):
+        return max(rank_exact(mat) - 1, 0), "modular"
+
+
+def test_nonzero_modular_betti_is_confirmed_exactly(source):
+    confirmed = 0
+    for kind in (K.DEL, K.CON):
+        exact = homology_table(ALL, kind, 6, source, RankPolicy(exact=True))
+        under = homology_table(ALL, kind, 6, source, UndercountingPolicy())
+        for e, u in zip(exact, under, strict=True):
+            assert (u.dim, u.rank_out, u.rank_in, u.betti) == (
+                e.dim, e.rank_out, e.rank_in, e.betti,
+            ), (kind, e.n)
+            if e.dim - max(e.rank_out - 1, 0) - max(e.rank_in - 1, 0):
+                assert u.certified == "exact", (kind, e.n)
+                confirmed += 1
+    assert confirmed == 8  # degrees 0, 1, 2 and 6 under each kind
+
+
 def test_homology_top_degree_upper_bound(source):
     t = homology_table(ALL, K.DEL, 7, source)
     top = t.rows[-1]
@@ -310,7 +333,7 @@ def test_declared_tags_serve_the_specs_they_contain(declared, spec, served):
 
 @pytest.mark.parametrize("declared", [
     {"simple"}, {"binary"}, {"regular"}, {"graphic"}, {"simple", "connected"},
-], ids="+".join)
+], ids=["simple", "binary", "regular", "graphic", "simple+connected"])
 def test_census_serves_the_enumerators_chain_bases(declared, tmp_path):
     # an MTRD census of every class with n <= 6 that carries the declared
     # tags; MTRD only, as there is no F2DB writer

@@ -270,6 +270,8 @@ def test_orbit_step_on_labelled_parents(name, m):
 def test_degree_limit():
     with pytest.raises(DegreeTooLarge):
         enumerate_all(8)
+    with pytest.raises(DegreeTooLarge):
+        extend_by_element(uniform(16, 16))
 
 
 # -- MTRD ---------------------------------------------------------------------
@@ -330,6 +332,10 @@ def test_mtrd_header_and_token_errors(tmp_path):
     p.write_text("MTRD 1\n4 2 2 5 3\n")  # not increasing
     with pytest.raises(ParseError):
         parse_mtrd(str(p))
+    p.write_text("MTRD 1\n2 1\n")  # no count
+    with pytest.raises(ParseError, match="at least n, r and a count") as exc_info:
+        parse_mtrd(str(p))
+    assert exc_info.value.line == 2
 
 
 def test_mtrd_directives(tmp_path):
@@ -466,6 +472,17 @@ def test_f2db_fano_and_two_blocks(tmp_path):
     src = parse_f2db(str(p))
     assert canonical_key(src.representatives(7)[0]) == canonical_key(fano())
     assert len(src.representatives(2)) == 1
+
+
+def test_f2db_last_block_needs_no_trailing_newline(tmp_path):
+    p = tmp_path / "c.f2db"
+    p.write_text("10\n01\n\n11")
+    src = parse_f2db(str(p))
+    assert len(src.representatives(2)) == 2
+    p.write_text("10\n01\n\n11\n1")
+    with pytest.raises(ParseError, match="ragged block") as exc_info:
+        parse_f2db(str(p))
+    assert exc_info.value.line == 4
 
 
 def test_f2db_errors(tmp_path):
