@@ -1,9 +1,9 @@
 """Exact rank of sparse integer matrices and Betti bookkeeping.
 
-One sparse elimination kernel computes every rank, over Q or over GF(p).
-Pivots are chosen Markowitz-style (minimal fill, unit entries first), and
-rows are combined by integer cross-multiplication, so no rationals ever
-appear.  Over Q each new row is re-reduced by its gcd; over GF(p) its
+One elimination kernel computes every rank, over Q or over GF(p), in one
+pass over the rows: each row is reduced against the pivot rows found so
+far, by integer cross-multiplication, so no rationals ever appear.  Over
+Q each new row is divided by the gcd of its entries; over GF(p) its
 entries are reduced mod p.  There is no dense fallback: the chain groups
 are small and their matrices sparse.  The modular ranks, over the three
 fixed 62-bit primes in `PRIMES`, are both a fast path and an independent
@@ -93,70 +93,41 @@ def write_matrix_market(mat: SparseIntMatrix, fh) -> None:
 # -- elimination --------------------------------------------------------------
 
 
-def _row_reduce_gcd(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for j in row:
-            row[j] //= g
+def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
+    """The row's nonzero entries mod p, or divided by their gcd when p is 0."""
+    if p:
+        return {j: v % p for j, v in row.items() if v % p}
+    row = {j: v for j, v in row.items() if v}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def _eliminate(mat: SparseIntMatrix, p: int = 0) -> int:
-    """Rank over Q when p is 0, else over GF(p), by sparse elimination."""
+    """Rank over Q when p is 0, else over GF(p), in one pass over the rows.
+
+    Each row is reduced against the pivot rows found so far, in the order
+    they were found, and what is left of it becomes the pivot row of its
+    smallest column.  A pivot row is zero in the column of every earlier
+    pivot, so one pass clears them all.
+    """
     rows: dict[int, dict[int, int]] = {}
     for (i, j), v in mat.entries.items():
-        if p:
-            v %= p
-        if v:
-            rows.setdefault(i, {})[j] = v
-    col_rows: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-
-    rank = 0
-    while rows:
-        # Markowitz pivot: minimize fill, prefer unit entries.
-        best = None
-        for i, row in rows.items():
-            rl = len(row) - 1
-            for j, v in row.items():
-                score = (rl * (len(col_rows[j]) - 1), abs(v) != 1, abs(v), i, j)
-                if best is None or score < best[0]:
-                    best = (score, i, j, v)
-        _, pi, pj, pv = best
-        rank += 1
-        prow = rows.pop(pi)
-        for j in prow:
-            col_rows[j].discard(pi)
-        for i in list(col_rows.get(pj, ())):
-            row = rows[i]
-            a = row[pj]
-            for j in row:
-                col_rows[j].discard(i)
-            new = {}
-            for j, v in row.items():
-                if j == pj:
-                    continue
-                new[j] = pv * v - a * prow.get(j, 0)
-            for j, w in prow.items():
-                if j != pj and j not in row:
-                    new[j] = -a * w
-            if p:
-                new = {j: v % p for j, v in new.items() if v % p}
-            else:
-                new = {j: v for j, v in new.items() if v}
-                _row_reduce_gcd(new)
-            if new:
-                rows[i] = new
-                for j in new:
-                    col_rows.setdefault(j, set()).add(i)
-            else:
-                del rows[i]
-    return rank
+        rows.setdefault(i, {})[j] = v
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        row = _reduced(row, p)
+        for pj, prow in pivots.items():
+            a = row.get(pj)
+            if a:
+                # pv * row - a * prow, over the union of their columns
+                pv = prow[pj]
+                combo = {j: pv * v for j, v in row.items()}
+                for j, w in prow.items():
+                    combo[j] = combo.get(j, 0) - a * w
+                row = _reduced(combo, p)
+        if row:
+            pivots[min(row)] = row
+    return len(pivots)
 
 
 def rank_exact(mat: SparseIntMatrix) -> int:

@@ -217,6 +217,24 @@ def test_connected_quotient_well_defined(source):
                     assert not child.is_connected()
 
 
+@pytest.mark.parametrize("spec", ["loopless,connected", "simple,connected"])
+@pytest.mark.parametrize("kind", [K.CLP, K.CON, K.DEL_TOT, K.CON_TOT])
+def test_connected_quotient_drops_the_empty_child(source, spec, kind):
+    # removing the coloop leaves the empty matroid, which is not connected,
+    # so the quotient map sends the one boundary term to zero
+    coloop, empty = canonical_key(uniform(1, 1)), canonical_key(EMPTY)
+    spec = ComplexSpec.parse(spec)
+    assert chain_basis(1, spec, source).keys == (coloop,)
+    assert chain_basis(0, spec, source).dim == 0
+    assert list(complexes._boundary_terms(kind, coloop)) == [(empty, 1)]
+    m = differential_matrix(kind, 1, spec, source)
+    assert (m.rows, m.cols) == (0, 1) and m.entries == {}
+    # without the quotient the same term is an entry
+    full = differential_matrix(kind, 1, ALL, source)
+    col = chain_basis(1, ALL, source).keys.index(coloop)
+    assert full.entries.get((0, col)) == 1
+
+
 def test_homology_tables(source):
     t = homology_table(ALL, K.DEL, 6, source)
     assert [row.betti for row in t] == [0] * 7

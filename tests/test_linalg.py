@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from io import StringIO
+from itertools import chain
 
 import pytest
 
@@ -67,14 +68,24 @@ def test_rank_displayed_deletion_matrix():
     assert rank_exact(dense_to_sparse(DISPLAYED_DEL)) == 2
 
 
+# Entries in +-1..+-8, one draw in six nonzero: the kind of matrix the
+# n <= 8 census ranks (its largest differential is 18 x 341 with entries up
+# to 8), at up to 18 x 40.
+SPARSE_VALUES = (0,) * 80 + tuple(s * v for s in (1, -1) for v in range(1, 9))
+
+
+def random_rows(rng, count, max_rows, max_cols, values):
+    """`count` dense matrices of random shape up to max_rows x max_cols."""
+    for _ in range(count):
+        nr, nc = rng.randint(1, max_rows), rng.randint(1, max_cols)
+        yield [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
+
+
 def test_rank_matches_oracle_on_random_matrices():
     rng = random.Random(13)
-    for _ in range(60):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [
-            [rng.choice((-2, -1, 0, 0, 0, 1, 1, 2, 3)) for _ in range(nc)]
-            for _ in range(nr)
-        ]
+    small = random_rows(rng, 60, 7, 7, (-2, -1, 0, 0, 0, 1, 1, 2, 3))
+    large = random_rows(rng, 60, 18, 40, SPARSE_VALUES)
+    for rows in chain(small, large):
         m = dense_to_sparse(rows)
         expect = rank_oracle(rows)
         assert rank_exact(m) == expect
@@ -104,12 +115,9 @@ def rank_mod_p_oracle(rows, p):
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_rank_mod_p_matches_dense_oracle(p):
     rng = random.Random(1000 + p)
-    for _ in range(80):
-        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-        rows = [
-            [rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3, 5, 7)) for _ in range(nc)]
-            for _ in range(nr)
-        ]
+    small = random_rows(rng, 80, 8, 8, (-3, -2, -1, 0, 0, 0, 1, 2, 3, 5, 7))
+    large = random_rows(rng, 60, 18, 40, SPARSE_VALUES)
+    for rows in chain(small, large):
         m = dense_to_sparse(rows)
         expect = rank_mod_p_oracle(rows, p)
         assert rank_mod_p(m, p) == expect
