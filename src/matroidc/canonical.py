@@ -44,7 +44,6 @@ witnesses onto R differ by an even automorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -103,14 +102,30 @@ def relabel(m: Matroid, p: Permutation) -> Matroid:
     return Matroid(m.n, m.r, tuple(sorted(apply_perm_mask(b, p) for b in m.bases)))
 
 
-@dataclass(frozen=True)
 class CanonicalKey:
-    """Isomorphism-class fingerprint: canonical basis family plus parity flag."""
+    """Isomorphism-class fingerprint: canonical basis family plus parity flag.
 
-    n: int
-    r: int
-    masks: tuple[int, ...]
-    odd_auto: bool
+    Two keys are equal when all four fields are; the hash is that of the
+    field tuple.
+    """
+
+    __slots__ = ("n", "r", "masks", "odd_auto")
+
+    def __init__(self, n: int, r: int, masks: tuple[int, ...], odd_auto: bool):
+        self.n = n
+        self.r = r
+        self.masks = masks
+        self.odd_auto = odd_auto
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r, self.masks, self.odd_auto) == (
+            other.n, other.r, other.masks, other.odd_auto
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.r, self.masks, self.odd_auto))
 
     @property
     def encoding(self) -> bytes:

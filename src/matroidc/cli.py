@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from io import StringIO
 
 from . import complexes, hopf
@@ -147,7 +146,7 @@ def cmd_homology(args) -> int:
     else:
         table = complexes.homology_table(spec, kind, args.max_n, source, policy)
     if args.format == "json":
-        text = json.dumps([asdict(row) for row in table], indent=0) + "\n"
+        text = json.dumps([row.as_dict() for row in table], indent=0) + "\n"
     else:
         text = table.to_csv()
     _emit(args, text)

@@ -10,7 +10,6 @@ its canonical representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -100,25 +99,36 @@ def _implied(tags) -> frozenset[str]:
     return frozenset(tags).union(*(_TAG_IMPLICATIONS.get(t, ()) for t in tags))
 
 
-@dataclass(frozen=True)
 class ComplexSpec:
     """Which subcomplex: property tags, "connected" among them for the
-    connected quotient, and an optional slice."""
+    connected quotient, and an optional slice.  Equal specs hash equal, so
+    a spec can key the caches of `chain_basis` and `differential_matrix`."""
 
-    tags: frozenset[str] = frozenset()
-    slice: tuple[str, int] | None = None
+    __slots__ = ("tags", "slice")
 
-    def __post_init__(self):
-        unknown = self.tags - set(PROPERTY_TAGS)
+    def __init__(
+        self, tags: frozenset[str] = frozenset(), slice: tuple[str, int] | None = None
+    ):
+        unknown = tags - set(PROPERTY_TAGS)
         if unknown:
             raise InvalidSpec(f"unknown property tags: {sorted(unknown)}")
-        if "connected" in self.tags and not self.tags & {"simple", "loopless"}:
+        if "connected" in tags and not tags & {"simple", "loopless"}:
             raise InvalidSpec(
                 "the connected quotient needs a loopless property "
                 "(add 'simple' or 'loopless')"
             )
-        if self.slice is not None and self.slice[0] not in ("rank", "nullity"):
-            raise InvalidSpec(f"bad slice {self.slice!r}")
+        if slice is not None and slice[0] not in ("rank", "nullity"):
+            raise InvalidSpec(f"bad slice {slice!r}")
+        self.tags = tags
+        self.slice = slice
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tags, self.slice) == (other.tags, other.slice)
+
+    def __hash__(self):
+        return hash((self.tags, self.slice))
 
     @classmethod
     def parse(cls, text: str) -> "ComplexSpec":
@@ -144,10 +154,20 @@ class ComplexSpec:
 ALL = ComplexSpec()
 
 
-@dataclass(frozen=True)
 class ChainBasis:
-    n: int
-    keys: tuple[CanonicalKey, ...]
+    __slots__ = ("n", "keys")
+
+    def __init__(self, n: int, keys: tuple[CanonicalKey, ...]):
+        self.n = n
+        self.keys = keys
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.keys) == (other.n, other.keys)
+
+    def __hash__(self):
+        return hash((self.n, self.keys))
 
     @property
     def dim(self) -> int:
@@ -232,10 +252,17 @@ def differential_matrix(
     return SparseIntMatrix(rows.dim, cols.dim, entries)
 
 
-@dataclass
 class Report:
-    lines: list[str]
-    ok: bool = True
+    __slots__ = ("lines", "ok")
+
+    def __init__(self, lines: list[str], ok: bool = True):
+        self.lines = lines
+        self.ok = ok
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lines, self.ok) == (other.lines, other.ok)
 
     def record(self, ok: bool, what: str, detail: str = "", witness=()) -> None:
         """One PASS/FAIL line; a failure also names the witness keys."""

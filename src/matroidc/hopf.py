@@ -13,9 +13,17 @@ product of two keys is `_key_product`; `star` and the product on the tensor
 square, `_tensor_star`, both go through it.  A map f of degree k acts on
 factor i of a tensor term through `_on_factor`, which charges the Koszul
 sign (-1)^(k * |factors before i|).
+
+Each key's coproduct terms and each pair of keys' product are computed once
+and read from a table afterwards: `_coproduct_terms` and `_key_product` are
+cached on their keys and return tuples, so a repeated read sees the same
+terms.  The identity checks apply the coproduct to the same few keys many
+times over.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .canonical import canonical_key
 from .classes import ClassVector, normalize
@@ -32,6 +40,7 @@ from .matroid import EMPTY, uniform
 unit = ClassVector.unit
 
 
+@lru_cache(maxsize=None)
 def _key_product(ka, kb):
     """Signed class of the direct sum of two keys: zero or one (key, sign)."""
     nz = normalize(ka.matroid().direct_sum(kb.matroid()))
@@ -64,10 +73,12 @@ def _shuffle_sign(smask: int, n: int) -> int:
     return -1 if total % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def _coproduct_terms(key):
     """((left key, right key), sign) for each surviving subset S of [key]."""
     m = key.matroid()
     n = m.n
+    terms = []
     for smask in range(1 << n):
         left = normalize(m.minor(0, m.full_mask & ~smask))
         if left is None:
@@ -75,7 +86,9 @@ def _coproduct_terms(key):
         right = normalize(m.minor(smask, 0))
         if right is None:
             continue
-        yield (left[0], right[0]), _shuffle_sign(smask, n) * left[1] * right[1]
+        sign = _shuffle_sign(smask, n) * left[1] * right[1]
+        terms.append(((left[0], right[0]), sign))
+    return tuple(terms)
 
 
 def coproduct(v: ClassVector) -> ClassVector:

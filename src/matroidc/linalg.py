@@ -12,7 +12,6 @@ check on the exact one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -148,11 +147,23 @@ def rank_mod_p(mat: SparseIntMatrix, p: int) -> int:
 PRIMES = (2522243858249721719, 3911179900747682747, 2394233167496025809)
 
 
-@dataclass(frozen=True)
 class ModularRank:
-    value: int
-    agree: bool
-    certified: bool
+    __slots__ = ("value", "agree", "certified")
+
+    def __init__(self, value: int, agree: bool, certified: bool):
+        self.value = value
+        self.agree = agree
+        self.certified = certified
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.agree, self.certified) == (
+            other.value, other.agree, other.certified
+        )
+
+    def __hash__(self):
+        return hash((self.value, self.agree, self.certified))
 
 
 def rank_modular(mat: SparseIntMatrix, primes) -> ModularRank:
@@ -178,17 +189,40 @@ def rank_modular(mat: SparseIntMatrix, primes) -> ModularRank:
 # -- Betti bookkeeping ---------------------------------------------------------
 
 
-@dataclass
 class BettiRow:
-    spec: str
-    kind: str
-    n: int
-    r: int | None
-    dim: int
-    rank_out: int
-    rank_in: int | None
-    betti: int
-    certified: str
+    FIELDS = ("spec", "kind", "n", "r", "dim", "rank_out", "rank_in", "betti", "certified")
+    __slots__ = FIELDS
+
+    def __init__(
+        self,
+        spec: str,
+        kind: str,
+        n: int,
+        r: int | None,
+        dim: int,
+        rank_out: int,
+        rank_in: int | None,
+        betti: int,
+        certified: str,
+    ):
+        self.spec = spec
+        self.kind = kind
+        self.n = n
+        self.r = r
+        self.dim = dim
+        self.rank_out = rank_out
+        self.rank_in = rank_in
+        self.betti = betti
+        self.certified = certified
+
+    def as_dict(self) -> dict:
+        """The fields in order, as the JSON output writes them."""
+        return {f: getattr(self, f) for f in self.FIELDS}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def csv(self) -> str:
         r = "" if self.r is None else str(self.r)
@@ -199,7 +233,7 @@ class BettiRow:
         )
 
 
-BETTI_CSV_HEADER = "spec,kind,n,r,dim,rank_out,rank_in,betti,certified"
+BETTI_CSV_HEADER = ",".join(BettiRow.FIELDS)
 
 
 class BettiTable:

@@ -22,6 +22,7 @@ from matroidc.classes import ClassVector, normalize
 from matroidc.complexes import ALL, DifferentialKind, Report, apply_differential, chain_basis
 from matroidc.errors import ExchangeViolation, ParseError
 from matroidc.enumerate import _classes, _exchange_families
+from matroidc.hopf import _shuffle_sign
 from matroidc.linalg import MM_HEADER, SparseIntMatrix
 from matroidc.matroid import EMPTY, Matroid, _bit_positions, _partition_roots, _subset_masks
 
@@ -72,6 +73,21 @@ def mu_sign(m: Matroid, x: int, target: CanonicalKey) -> int:
     if nz is None or nz[0] != target:
         return 0
     return nz[1]
+
+
+def coproduct_direct(key: CanonicalKey) -> ClassVector:
+    """The coproduct of [key] summed over every subset S afresh, with no table:
+    [M|S] tensor [M/S] times the sign of the shuffle putting S first."""
+    m = key.matroid()
+    terms = []
+    for smask in range(1 << m.n):
+        left = normalize(m.minor(0, m.full_mask & ~smask))
+        right = normalize(m.minor(smask, 0))
+        if left is None or right is None:
+            continue
+        sign = _shuffle_sign(smask, m.n) * left[1] * right[1]
+        terms.append(((left[0], right[0]), sign))
+    return ClassVector.accumulate(terms)
 
 
 def has_series_pair(m: Matroid) -> bool:

@@ -5,6 +5,7 @@ import random
 from itertools import combinations, permutations
 
 from matroidc.canonical import (
+    CanonicalKey,
     apply_perm_mask,
     automorphism_generators,
     _search,
@@ -248,6 +249,18 @@ def test_key_encoding_sorts_deterministically():
     enc = [k.encoding for k in keys]
     assert sorted(enc) == sorted(set(enc))
     assert all(isinstance(e, bytes) for e in enc)
+
+
+def test_key_equality_and_hash_follow_the_fields():
+    # class vectors and sets of keys iterate in hash order, so the hash is
+    # pinned to the field tuple
+    for m in (EMPTY, uniform(1, 1), uniform(2, 4), graphic(complete_graph(4))):
+        key = canonical_key(m)
+        assert hash(key) == hash((key.n, key.r, key.masks, key.odd_auto))
+        twin = CanonicalKey(key.n, key.r, key.masks, key.odd_auto)
+        assert twin == key and twin is not key
+        assert CanonicalKey(key.n, key.r, key.masks, not key.odd_auto) != key
+        assert key != (key.n, key.r, key.masks, key.odd_auto)
 
 
 def test_canonical_is_lexmin_sorted_mask_sequence():

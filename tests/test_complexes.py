@@ -41,7 +41,17 @@ def test_spec_parsing():
     with pytest.raises(InvalidSpec):
         ComplexSpec.parse("regular,connected")  # not loopless
     with pytest.raises(InvalidSpec):
+        ComplexSpec(frozenset({"connected"}))
+    with pytest.raises(InvalidSpec):
+        ComplexSpec.parse("simple").with_slice(("corank", 1))
+    with pytest.raises(InvalidSpec):
         parse_kind("dle")
+    # specs key the chain-basis and matrix caches: equal specs hash equal
+    a, b = ComplexSpec.parse("simple,binary"), ComplexSpec.parse("binary+simple")
+    assert a == b and hash(a) == hash(b)
+    assert a != ComplexSpec.parse("simple") and a != a.with_slice(("rank", 2))
+    assert a.with_slice(("rank", 2)) == b.with_slice(("rank", 2))
+    assert ComplexSpec() == ALL == ComplexSpec.parse("all")
 
 
 def test_chain_basis_small(source):

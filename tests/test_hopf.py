@@ -25,7 +25,9 @@ from matroidc.hopf import (
     verify_leibniz,
     verify_unit_counit,
 )
+from matroidc.enumerate import EnumeratorSource
 from matroidc.matroid import EMPTY, complete_graph, graphic, uniform
+from oracles import coproduct_direct
 
 
 def cls(m):
@@ -80,6 +82,27 @@ def test_coproduct_k4_boundary_terms():
     # all 62 middle terms die: restrictions/contractions of K4 at
     # intermediate sizes carry odd automorphisms
     assert len(t.terms) == 2
+
+
+def test_operator_tables_give_the_same_terms_on_every_read():
+    # the per-key tables must hold values: a cached generator would come back
+    # exhausted on the second read and zero the result
+    k4 = cls(graphic(complete_graph(4)))
+    loop, coloop = cls(uniform(0, 1)), cls(uniform(1, 1))
+    for v in (k4, coloop, loop):
+        first, second = coproduct(v), coproduct(v)
+        assert first == second and not first.is_zero()
+    for a, b in ((k4, loop), (coloop, loop)):
+        first, second = star(a, b), star(a, b)
+        assert first == second and not first.is_zero()
+
+
+def test_coproduct_matches_the_direct_subset_sum():
+    # runs after other tests have filled the coproduct table
+    source = EnumeratorSource()
+    for n in range(0, 7):
+        for key in chain_basis(n, ALL, source).keys:
+            assert coproduct(ClassVector({key: 1})) == coproduct_direct(key), key
 
 
 def test_coproduct_bidegree_additive(source):
