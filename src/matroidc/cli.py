@@ -104,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _get_source(args):
+def _get_source(args, spec: ComplexSpec):
+    """The --source census, or the in-process one restricted as spec allows."""
     if getattr(args, "source", None):
         return load_source(args.source)
-    return EnumeratorSource()
+    return EnumeratorSource(tags=spec.tags)
 
 
 def _emit(args, text: str) -> None:
@@ -120,7 +121,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_dims(args) -> int:
     spec = ComplexSpec.parse(args.spec)
-    source = _get_source(args)
+    source = _get_source(args, spec)
     rows = complexes.dims_table(spec, args.max_n, source)
     if args.format == "json":
         text = json.dumps(
@@ -135,7 +136,7 @@ def cmd_dims(args) -> int:
 def cmd_homology(args) -> int:
     spec = ComplexSpec.parse(args.spec)
     kind = parse_kind(args.kind)
-    source = _get_source(args)
+    source = _get_source(args, spec)
     policy = RankPolicy(exact=args.exact)
     if args.bidegree:
         try:
@@ -162,7 +163,7 @@ def cmd_verify(args) -> int:
     if args.suite in _SPECLESS_SUITES and spec != complexes.ALL:
         raise InvalidSpec(f"verify --suite {args.suite} covers all matroids; "
                           f"it takes no --spec {args.spec!r}")
-    source = _get_source(args)
+    source = _get_source(args, spec)
     max_n = args.max_n
     K = DifferentialKind
     rep = complexes.Report([])
@@ -210,7 +211,7 @@ def cmd_enumerate(args) -> int:
 def cmd_export_matrix(args) -> int:
     spec = ComplexSpec.parse(args.spec)
     kind = parse_kind(args.kind)
-    source = _get_source(args)
+    source = _get_source(args, spec)
     mat = complexes.differential_matrix(kind, args.n, spec, source)
     buf = StringIO()
     write_matrix_market(mat, buf)

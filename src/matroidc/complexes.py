@@ -191,7 +191,8 @@ def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
     if n < 0:
         return ChainBasis(n, ())
     _check_source_tags(spec, source)
-    tests = [PROPERTY_TAGS[t] for t in spec.tags]
+    # in table order, so the cheap structural tests run first
+    tests = [holds for tag, holds in PROPERTY_TAGS.items() if tag in spec.tags]
     keys = []
     for m in source.require(n):
         key = canonical_form(m)[0]

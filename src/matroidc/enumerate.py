@@ -14,9 +14,20 @@ class without comparing children: a child is kept only when its new
 element is, up to the child's automorphisms, the element that an
 isomorphism-invariant rule picks as its last.  The rule ranks elements by
 the number of bases through them, so most children are dropped by one pass
-over their bases, before any canonical search.  The labelled exchange
-backtracker `_exchange_families` drives the direct search over basis
-families that the tests keep as an independent oracle for n <= 6.
+over their bases, before any canonical search.
+
+Generation can be restricted to the classes that are simple or loopless.
+Both tags are deletion-closed, so the canonical parent of such a class has
+the tag too, and extending only the parents that have it still reaches
+every class that does.  A child without the tag is dropped before its
+search.  The minor-closed tags are deletion-closed as well, but their
+excluded-minor predicates cost more than the searches they would save.
+`EnumeratorSource` restricts itself to the simple and loopless part of a
+spec's tags and declares that part, as a census file declares its own.
+
+The labelled exchange backtracker `_exchange_families` drives the direct
+search over basis families that the tests keep as an independent oracle
+for n <= 6.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .complexes import PROPERTY_TAGS
 from .errors import (
     DegreeTooLarge,
     ExchangeViolation,
+    InvalidSpec,
     MatroidError,
     ParseError,
     SourceIncomplete,
@@ -50,6 +62,10 @@ from .matroid import (
 )
 
 ENUMERATION_LIMIT = 7
+
+# The tags an extension step can restrict its classes to: deletion-closed,
+# and cheap enough to test on every child that the basis-count gate keeps.
+EXTENSION_TAGS = ("simple", "loopless")
 
 
 def _exchange_families(fixed: tuple[int, ...], cands: list[int]):
@@ -218,9 +234,10 @@ def extend_by_element(m: Matroid, automorphisms=()) -> list[Matroid]:
     return out
 
 
-def _extension_step(parents) -> tuple[Matroid, ...]:
-    """All classes on [n+1] from parents that hold exactly one matroid of
-    each class on [n]: a complete, pairwise non-isomorphic set.
+def _extension_step(parents, tags=frozenset()) -> tuple[Matroid, ...]:
+    """All classes on [n+1] that hold every tag in tags, a subset of
+    EXTENSION_TAGS, from parents that hold exactly one matroid of each such
+    class on [n]: a complete, pairwise non-isomorphic set.
 
     A child C adds the element e = n+1 to its parent.  It is kept only when
     e lies in the Aut(C)-orbit of C's canonical last element: of the
@@ -232,10 +249,22 @@ def _extension_step(parents) -> tuple[Matroid, ...]:
     with e alone there is kept without deciding; only the rest pay for
     `canonical_form`'s witness and `automorphism_generators`' orbit.
 
+    A child that the count keeps but that lacks one of the tags is dropped
+    before `canonical_key`.  The tags are deletion-closed, so a class that
+    holds them is still reached from its canonical parent, which holds them
+    too.  With no tags every child is a candidate.
+
     A repeated parent class, or generators that miss part of Aut(parent),
     can keep a class twice.  That raises MatroidError naming the key rather
     than being merged in silence.
     """
+    unknown = set(tags) - set(EXTENSION_TAGS)
+    if unknown:
+        raise InvalidSpec(
+            f"extension restricts only to {', '.join(EXTENSION_TAGS)}, "
+            f"not {sorted(unknown)}"
+        )
+    tests = [holds for tag, holds in PROPERTY_TAGS.items() if tag in tags]
     keys: set = set()
     for parent in parents:
         for child in extend_by_element(parent, automorphism_generators(parent)):
@@ -246,6 +275,8 @@ def _extension_step(parents) -> tuple[Matroid, ...]:
                     counts[x] += 1
             top = counts[e]
             if max(counts) > top:
+                continue
+            if not all(holds(child) for holds in tests):
                 continue
             key = canonical_key(child)
             tied = [x for x, c in enumerate(counts) if c == top]
@@ -266,25 +297,31 @@ def _extension_step(parents) -> tuple[Matroid, ...]:
     return _classes(keys)
 
 
-def enumerate_by_extension(n: int) -> list[Matroid]:
+def enumerate_by_extension(n: int, tags=frozenset()) -> list[Matroid]:
     """The extension route from the empty matroid, without enumerate_all's
     cache or its n <= 7 limit."""
     reps: tuple[Matroid, ...] = (EMPTY,)
     for _ in range(n):
-        reps = _extension_step(reps)
+        reps = _extension_step(reps, tags)
     return list(reps)
 
 
-@lru_cache(maxsize=None)
-def enumerate_all(n: int) -> tuple[Matroid, ...]:
-    """One canonical representative per isomorphism class on [n], n <= 7."""
+def enumerate_all(n: int, tags=frozenset()) -> tuple[Matroid, ...]:
+    """One canonical representative per isomorphism class on [n], n <= 7,
+    among the classes that hold every tag in tags (see EXTENSION_TAGS)."""
     if n < 0 or n > ENUMERATION_LIMIT:
         raise DegreeTooLarge(
             f"built-in enumeration covers n in 0..{ENUMERATION_LIMIT}, not n={n}"
         )
+    return _census(n, frozenset(tags))
+
+
+@lru_cache(maxsize=None)
+def _census(n: int, tags: frozenset[str]) -> tuple[Matroid, ...]:
+    """enumerate_all's table, keyed by n and the tags as a frozenset."""
     if n == 0:
         return (EMPTY,)
-    return _extension_step(enumerate_all(n - 1))
+    return _extension_step(enumerate_all(n - 1, tags), tags)
 
 
 # -- sources ----------------------------------------------------------------
@@ -310,17 +347,30 @@ class MatroidSource:
 
 
 class EnumeratorSource(MatroidSource):
-    def __init__(self, max_n: int = ENUMERATION_LIMIT):
+    """The in-process census of n <= 7: a census that declares its tags.
+
+    It keeps the EXTENSION_TAGS among the tags it is given, generates only
+    the classes that hold them and declares them through `tags()`, so
+    `complexes.chain_basis` refuses any spec whose classes could lack them.
+    The other tags cost more to test during generation than they save, so
+    `chain_basis` filters by them as it does for any census.
+    """
+
+    def __init__(self, max_n: int = ENUMERATION_LIMIT, tags=frozenset()):
         self.max_n = min(max_n, ENUMERATION_LIMIT)
+        self._tags = frozenset(tags) & frozenset(EXTENSION_TAGS)
 
     def covers(self, n: int) -> bool:
         return 0 <= n <= self.max_n
 
+    def tags(self) -> frozenset[str]:
+        return self._tags
+
     def representatives(self, n: int) -> tuple[Matroid, ...]:
-        return enumerate_all(n)
+        return enumerate_all(n, self._tags)
 
     def __repr__(self):
-        return f"EnumeratorSource(max_n={self.max_n})"
+        return f"EnumeratorSource(max_n={self.max_n}, tags={sorted(self._tags)})"
 
 
 class FileSource(MatroidSource):

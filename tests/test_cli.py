@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from matroidc.cli import main
+from matroidc.cli import _get_source, build_parser, main
+from matroidc.complexes import ComplexSpec
 from matroidc.enumerate import enumerate_all, parse_mtrd, write_mtrd
 
 
@@ -64,6 +65,24 @@ def test_binary_census_serves_the_regular_complex(capsys, tmp_path):
     code, out, err = run(capsys, *argv, "--source", str(p))
     assert code == 0, err
     assert (code, out) == run(capsys, *argv)[:2]
+
+
+@pytest.mark.parametrize("spec, tags", [
+    ("simple,connected", {"simple"}),
+    ("loopless,connected", {"loopless"}),
+    ("regular,simple,loopless", {"simple", "loopless"}),
+    ("binary", set()),
+    ("all", set()),
+])
+def test_in_process_source_is_restricted_by_the_spec(spec, tags):
+    args = build_parser().parse_args(["dims", "--spec", spec])
+    assert _get_source(args, ComplexSpec.parse(args.spec)).tags() == tags
+
+
+def test_restricted_source_names_its_tags_past_its_degrees(capsys):
+    code, _, err = run(capsys, "dims", "--spec", "simple,connected", "--max-n", "8")
+    assert code == 2
+    assert "EnumeratorSource(max_n=7, tags=['simple']) does not cover degree 8" in err
 
 
 def test_homology_exact_flag(capsys):

@@ -77,6 +77,37 @@ def test_chain_basis_slices(source):
     assert chain_basis(2, s, source).dim == 1
 
 
+def test_restricted_enumerator_serves_only_specs_with_its_tags(source):
+    simple = EnumeratorSource(tags={"simple"})
+    for text in ("simple", "simple,connected", "regular,simple,connected"):
+        spec = ComplexSpec.parse(text)
+        for n in range(0, 8):
+            assert chain_basis(n, spec, simple) == chain_basis(n, spec, source)
+    for text in ("loopless", "all", "binary"):
+        with pytest.raises(SourceIncomplete, match="cannot serve spec"):
+            chain_basis(3, ComplexSpec.parse(text), simple)
+
+
+def test_chain_basis_tests_tags_in_table_order(monkeypatch):
+    # so the cheap structural tags run first, whatever the hash seed
+    calls = []
+
+    def recording(tag, holds):
+        def test(m):
+            calls.append(tag)
+            return holds(m)
+
+        return test
+
+    table = {tag: recording(tag, holds) for tag, holds in complexes.PROPERTY_TAGS.items()}
+    monkeypatch.setattr(complexes, "PROPERTY_TAGS", table)
+    spec = ComplexSpec.parse("connected,regular,loopless,simple")
+    assert chain_basis(6, spec, EnumeratorSource()).dim == 1  # M(K4)
+    # all() stops at the first failing tag, so a tag is first tested only
+    # on a class that has passed every tag before it
+    assert list(dict.fromkeys(calls)) == ["simple", "loopless", "regular", "connected"]
+
+
 def test_connected_regular_basis(source):
     spec = ComplexSpec.parse("regular,simple,connected")
     b = chain_basis(6, spec, source)

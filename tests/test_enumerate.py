@@ -12,7 +12,9 @@ from matroidc.canonical import (
     relabel,
 )
 import matroidc.enumerate as enum_module
+from matroidc.complexes import PROPERTY_TAGS
 from matroidc.enumerate import (
+    EXTENSION_TAGS,
     EnumeratorSource,
     _exchange_families,
     _extension_step,
@@ -29,6 +31,7 @@ from matroidc.enumerate import (
 from matroidc.errors import (
     DegreeTooLarge,
     ExchangeViolation,
+    InvalidSpec,
     MatroidError,
     ParseError,
     SourceIncomplete,
@@ -102,6 +105,48 @@ def test_extension_from_three_gives_all_four_element_classes():
 def test_counts_through_seven():
     counts = [1, 2, 4, 8, 17, 38, 98, 306]
     assert [len(enumerate_all(n)) for n in range(0, 8)] == counts
+
+
+RESTRICTIONS = [frozenset(), frozenset({"loopless"}), frozenset({"simple"}),
+                frozenset({"simple", "loopless"})]
+
+
+@pytest.mark.parametrize("tags", RESTRICTIONS, ids=lambda t: "+".join(sorted(t)) or "none")
+def test_restricted_enumeration_is_the_filtered_census(tags):
+    for n in range(0, 8):
+        kept = tuple(m for m in enumerate_all(n) if all(PROPERTY_TAGS[t](m) for t in tags))
+        assert enumerate_all(n, tags) == kept
+
+
+def test_restricted_counts_through_seven():
+    simple = [1, 1, 1, 2, 4, 9, 26, 101]  # OEIS A002773
+    loopless = [1, 1, 2, 4, 9, 21, 60, 208]
+    assert [len(enumerate_all(n, {"simple"})) for n in range(0, 8)] == simple
+    assert [len(enumerate_all(n, {"loopless"})) for n in range(0, 8)] == loopless
+
+
+def test_restricted_step_searches_only_children_with_the_tags(monkeypatch):
+    # the tags are tested before the search, not used to filter its results
+    searched = []
+
+    def recording(m):
+        searched.append(m)
+        return canonical_key(m)
+
+    monkeypatch.setattr(enum_module, "canonical_key", recording)
+    for n in range(0, 7):
+        _extension_step(enumerate_all(n, {"simple"}), frozenset({"simple"}))
+    assert searched and all(m.is_simple() for m in searched)
+
+
+def test_extension_refuses_tags_it_cannot_restrict_to():
+    # connected is not deletion-closed; the minor-closed tags cost more than
+    # they save, so chain_basis filters by them instead
+    for tag in set(PROPERTY_TAGS) - set(EXTENSION_TAGS):
+        with pytest.raises(InvalidSpec, match=tag):
+            _extension_step(enumerate_all(3), frozenset({tag}))
+        with pytest.raises(InvalidSpec, match=tag):
+            enumerate_all(4, {tag})
 
 
 def test_automorphism_generators_preserve_bases():
@@ -518,6 +563,17 @@ def test_source_coverage_errors():
     with pytest.raises(SourceIncomplete):
         src.require(6)
     assert len(src.require(5)) == 38
+
+
+def test_enumerator_source_declares_its_simple_and_loopless_tags():
+    src = EnumeratorSource(tags={"simple", "binary", "connected"})
+    assert src.tags() == {"simple"}
+    assert src.require(7) == enumerate_all(7, {"simple"})
+    assert EnumeratorSource().tags() == frozenset()
+    # a coverage error says which enumerator it came from
+    with pytest.raises(SourceIncomplete, match=r"max_n=7, tags=\['simple'\]\) does not cover"):
+        src.require(8)
+    assert repr(EnumeratorSource(6)) == "EnumeratorSource(max_n=6, tags=[])"
 
 
 def test_exchange_backtracker_matches_bruteforce():
