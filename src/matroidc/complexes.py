@@ -2,10 +2,12 @@
 
 A chain basis in degree n consists of the canonical keys of all matroids
 on [n] that survive orientation (no odd automorphism) and satisfy the
-requested property tags.  Differential matrices carry the two signs of the
-basis formula: the interior-product sign (-1)^(i-1) of the deleted or
-contracted element, and the relabeling sign that moves the child back onto
-its canonical representative.
+requested property tags.  Tags that need no key are tested before the
+canonical search, so a census record they reject is never searched.
+Differential matrices carry the two signs of the basis formula: the
+interior-product sign (-1)^(i-1) of the deleted or contracted element, and
+the relabeling sign that moves the child back onto its canonical
+representative.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ _TAG_IMPLICATIONS = {
     "graphic": {"regular", "binary", "ternary"},
     "cographic": {"regular", "binary", "ternary"},
 }
+
+
+# The tags whose predicates need no canonical key.  `chain_basis` tests a
+# record against them before it searches for the record's key.
+_KEY_FREE_TAGS = {"simple", "loopless", "binary", "connected"}
 
 
 def _implied(tags) -> frozenset[str]:
@@ -188,23 +195,37 @@ def _check_source_tags(spec: ComplexSpec, source) -> None:
 
 @lru_cache(maxsize=None)
 def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
+    """The keys of the classes on [n] that the spec keeps, from the source's
+    records of degree n.
+
+    A record is first tested against the key-free tags the spec implies, so
+    one that fails them is never searched.  The keyed tags of the spec run
+    last, on the records whose key has no odd automorphism and lies in the
+    slice.  Records of one class give one key.  Both stages take the tags
+    in table order, so the cheap structural tests run first.
+    """
     if n < 0:
         return ChainBasis(n, ())
     _check_source_tags(spec, source)
-    # in table order, so the cheap structural tests run first
-    tests = [holds for tag, holds in PROPERTY_TAGS.items() if tag in spec.tags]
-    keys = []
+    implied = _implied(spec.tags)
+    key_free = [
+        holds for tag, holds in PROPERTY_TAGS.items()
+        if tag in implied and tag in _KEY_FREE_TAGS
+    ]
+    keyed = [
+        holds for tag, holds in PROPERTY_TAGS.items()
+        if tag in spec.tags and tag not in _KEY_FREE_TAGS
+    ]
+    keys = set()
     for m in source.require(n):
+        if not all(holds(m) for holds in key_free):
+            continue
         key = canonical_form(m)[0]
-        if key.odd_auto:
+        if key in keys or key.odd_auto or not spec.key_in_slice(key):
             continue
-        if not spec.key_in_slice(key):
-            continue
-        if not all(holds(m) for holds in tests):
-            continue
-        keys.append(key)
-    keys.sort(key=lambda k: k.encoding)
-    return ChainBasis(n, tuple(keys))
+        if all(holds(m) for holds in keyed):
+            keys.add(key)
+    return ChainBasis(n, tuple(sorted(keys, key=lambda k: k.encoding)))
 
 
 def _boundary_terms(kind: DifferentialKind, key: CanonicalKey):

@@ -20,10 +20,15 @@ Generation can be restricted to the classes that are simple or loopless.
 Both tags are deletion-closed, so the canonical parent of such a class has
 the tag too, and extending only the parents that have it still reaches
 every class that does.  A child without the tag is dropped before its
-search.  The minor-closed tags are deletion-closed as well, but their
-excluded-minor predicates cost more than the searches they would save.
+search.  The minor-closed tags are deletion-closed as well; restricting by
+`ternary`, tested by its excluded minors, was measured slower, and by
+`binary` has not been measured.
 `EnumeratorSource` restricts itself to the simple and loopless part of a
 spec's tags and declares that part, as a census file declares its own.
+
+A census file keeps its validated records and collapses them into classes
+only when the classes or the repeats are asked for, so a chain basis that
+tests records before searching them searches only those it keeps.
 
 The labelled exchange backtracker `_exchange_families` drives the direct
 search over basis families that the tests keep as an independent oracle
@@ -33,7 +38,7 @@ for n <= 6.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .canonical import (
     apply_perm_mask,
@@ -340,10 +345,16 @@ class MatroidSource:
     def representatives(self, n: int) -> tuple[Matroid, ...]:
         raise NotImplementedError
 
+    def records(self, n: int) -> tuple[Matroid, ...]:
+        """The matroids of degree n, at least one of each class the source
+        holds; a class may repeat.  By default, the representatives."""
+        return self.representatives(n)
+
     def require(self, n: int) -> tuple[Matroid, ...]:
+        """The records of degree n, or SourceIncomplete if n is not covered."""
         if not self.covers(n):
             raise SourceIncomplete(f"{self!r} does not cover degree {n}")
-        return self.representatives(n)
+        return self.records(n)
 
 
 class EnumeratorSource(MatroidSource):
@@ -376,18 +387,22 @@ class EnumeratorSource(MatroidSource):
 class FileSource(MatroidSource):
     """Census file backend; coverage and property tags are declared in-file.
 
-    `duplicates` lists the records dropped because an earlier record has the
-    same class, as (line, line of the earlier record, canonical key).
+    It keeps its validated (line, matroid) records and collapses them into
+    classes on the first read of `representatives` or `duplicates`, so a
+    caller that tests `records` first searches only the records it keeps.
+    `duplicates` lists the records a class already has, as (line, line of
+    the class's first record, canonical key).
     """
 
-    def __init__(self, by_degree, coverage, tags, path="", duplicates=()):
-        self._by_degree = {
-            n: tuple(ms) for n, ms in by_degree.items()
-        }
+    def __init__(self, records, coverage, tags, path=""):
+        self._lines = tuple(records)
+        by_degree: dict[int, list[Matroid]] = {}
+        for _, m in self._lines:
+            by_degree.setdefault(m.n, []).append(m)
+        self._records = {n: tuple(ms) for n, ms in by_degree.items()}
         self._coverage = frozenset(coverage)
         self._tags = frozenset(tags)
         self.path = path
-        self.duplicates = tuple(duplicates)
 
     def covers(self, n: int) -> bool:
         return n in self._coverage
@@ -395,8 +410,19 @@ class FileSource(MatroidSource):
     def tags(self) -> frozenset[str]:
         return self._tags
 
+    def records(self, n: int) -> tuple[Matroid, ...]:
+        return self._records.get(n, ())
+
+    @cached_property
+    def _collapsed(self):
+        return _dedup_canonical(self._lines)
+
     def representatives(self, n: int) -> tuple[Matroid, ...]:
-        return self._by_degree.get(n, ())
+        return self._collapsed[0].get(n, ())
+
+    @property
+    def duplicates(self) -> tuple:
+        return self._collapsed[1]
 
     def __repr__(self):
         cov = ",".join(str(n) for n in sorted(self._coverage))
@@ -420,7 +446,7 @@ def _dedup_canonical(records):
         first_line[key] = ln
         keys_by_degree.setdefault(m.n, []).append(key)
     by_degree = {n: _classes(keys) for n, keys in keys_by_degree.items()}
-    return by_degree, duplicates
+    return by_degree, tuple(duplicates)
 
 
 def _coverage_degrees(tok: str, ln: int) -> range:
@@ -480,8 +506,7 @@ def _file_source(path: str, comments, records) -> FileSource:
                 raise ParseError(
                     f"record fails the declared property {tag!r}", line=ln
                 )
-    by_degree, duplicates = _dedup_canonical(records)
-    return FileSource(by_degree, coverage, tags, path=path, duplicates=duplicates)
+    return FileSource(records, coverage, tags, path=path)
 
 
 def _read_lines(path: str) -> list[str]:

@@ -24,7 +24,18 @@ from matroidc.errors import ExchangeViolation, ParseError
 from matroidc.enumerate import _classes, _exchange_families
 from matroidc.hopf import _shuffle_sign
 from matroidc.linalg import MM_HEADER, SparseIntMatrix
-from matroidc.matroid import EMPTY, Matroid, _bit_positions, _partition_roots, _subset_masks
+from matroidc.matroid import (
+    EMPTY,
+    Graph,
+    Matroid,
+    _bit_positions,
+    _partition_roots,
+    _subset_masks,
+    complete_graph,
+    fano,
+    graphic,
+    uniform,
+)
 
 
 def automorphisms_bruteforce(m: Matroid) -> list[Permutation]:
@@ -88,6 +99,28 @@ def coproduct_direct(key: CanonicalKey) -> ClassVector:
         sign = _shuffle_sign(smask, m.n) * left[1] * right[1]
         terms.append(((left[0], right[0]), sign))
     return ClassVector.accumulate(terms)
+
+
+def excluded_minors(which: str) -> tuple[Matroid, ...]:
+    """The full excluded-minor list of a minor-closed tag: U(2,4) for binary
+    and U(2,4), F7, F7* for regular (Tutte 1958), then M*(K5) and M*(K3,3)
+    for graphic (Tutte 1959) and their duals for cographic; U(2,5), U(3,5),
+    F7, F7* for ternary (Bixby 1979; Seymour 1979)."""
+    u24, f7 = uniform(2, 4), fano()
+    k5 = graphic(complete_graph(5))
+    k33 = graphic(Graph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]))
+    return {
+        "binary": (u24,),
+        "ternary": (uniform(2, 5), uniform(3, 5), f7, f7.dual()),
+        "regular": (u24, f7, f7.dual()),
+        "graphic": (u24, f7, f7.dual(), k5.dual(), k33.dual()),
+        "cographic": (u24, f7, f7.dual(), k5, k33),
+    }[which]
+
+
+def holds_by_excluded_minors(m: Matroid, which: str) -> bool:
+    """The tag decided by searching m for every one of its excluded minors."""
+    return not any(m.has_minor(x) for x in excluded_minors(which))
 
 
 def has_series_pair(m: Matroid) -> bool:

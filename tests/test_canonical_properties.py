@@ -1,4 +1,5 @@
-"""Property tests: canonical labels and witness signs under random relabelling.
+"""Property tests under random relabelling: canonical labels, witness signs
+and the binary test.
 
 Classes with n <= 7 come from the built-in enumeration; n = 8 matroids are
 column matroids of random 0/1 matrices and direct sums of smaller classes.
@@ -18,7 +19,7 @@ from matroidc.canonical import (  # noqa: E402
 )
 from matroidc.classes import normalize  # noqa: E402
 from matroidc.enumerate import enumerate_all  # noqa: E402
-from matroidc.matroid import from_f2_matrix  # noqa: E402
+from matroidc.matroid import from_f2_matrix, uniform  # noqa: E402
 
 
 @st.composite
@@ -68,3 +69,26 @@ def test_canonical_key_and_witness_sign_under_relabelling(case):
     # all of those are even, so the sign is that of p^-1
     assert perm_sign(w) == perm_sign(p)
     assert normalize(q) == (key, normalize(m)[1] * perm_sign(p))
+
+
+@st.composite
+def relabelled_f2(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 9))
+    matrix = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ))
+    m = from_f2_matrix(matrix)
+    return m, tuple(draw(st.permutations(range(1, m.n + 1))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relabelled_f2())
+def test_f2_column_matroids_are_binary_and_their_sums_with_u24_are_not(case):
+    m, p = case
+    q = relabel(m, p)
+    assert q.is_binary()
+    # U(2,4) is a minor of the sum, whichever side it is on
+    assert not q.direct_sum(uniform(2, 4)).is_binary()
+    assert not uniform(2, 4).direct_sum(q).is_binary()

@@ -291,6 +291,42 @@ def test_ingest_check_reports_duplicates(tmp_path, capsys):
     assert code == 0 and out == "n,r,dim\n0,0,1\n1,0,1\n1,1,0\n"
 
 
+def test_census_records_the_spec_rejects_are_never_searched(tmp_path, capsys, monkeypatch):
+    # the binary classes with n <= 5, U(2,4) plus a loop, and M(K4) in two
+    # labellings; only the repeat of M(K4) differs between the two files
+    from matroidc import canonical
+    from matroidc.canonical import relabel
+    from matroidc.matroid import complete_graph, graphic, uniform
+
+    lower = [m for n in range(6) for m in enumerate_all(n) if m.is_binary()]
+    bad = relabel(uniform(2, 4).direct_sum(uniform(0, 1)), (1, 2, 5, 3, 4))
+    k4 = graphic(complete_graph(4))
+    records = lower + [bad, k4, relabel(k4, (2, 1, 3, 4, 5, 6))]
+    paths = [str(tmp_path / "repeat.mtrd"), str(tmp_path / "once.mtrd")]
+    write_mtrd(paths[0], records, range(7))
+    write_mtrd(paths[1], records[:-1], range(7))
+    canonical._canon.cache_clear()
+    canonical._representatives.clear()
+    searched = []
+    search = canonical._search
+
+    def logging(n, r, bases):
+        searched.append((n, r, bases))
+        return search(n, r, bases)
+
+    monkeypatch.setattr(canonical, "_search", logging)
+    homology = ["homology", "--spec", "regular", "--kind", "del", "--max-n", "6"]
+    code, out, _ = run(capsys, *homology, "--source", paths[0])
+    assert code == 0 and "regular,del,6,,1," in out
+    assert (6, 3, k4.bases) in searched
+    assert (bad.n, bad.r, bad.bases) not in searched
+    assert run(capsys, *homology, "--source", paths[1]) == (0, out, "")
+    # the header and the coverage directive take lines 1 and 2
+    code, out, _ = run(capsys, "ingest-check", "--source", paths[0])
+    first, repeat = len(lower) + 4, len(lower) + 5
+    assert code == 2 and f"duplicate: line {repeat} repeats the class of line {first}" in out
+
+
 def test_malformed_directive_exits_as_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.mtrd"
     p.write_text("MTRD 1\n# coverage: x\n1 1 1 1\n")

@@ -89,23 +89,29 @@ def test_restricted_enumerator_serves_only_specs_with_its_tags(source):
 
 
 def test_chain_basis_tests_tags_in_table_order(monkeypatch):
-    # so the cheap structural tags run first, whatever the hash seed
+    # two stages, each in table order whatever the hash seed: the key-free
+    # tags the spec implies (binary, from regular) before the canonical
+    # search, then the spec's keyed tags
     calls = []
+    exact = complexes.PROPERTY_TAGS
 
     def recording(tag, holds):
         def test(m):
-            calls.append(tag)
+            calls.append((tag, m))
             return holds(m)
 
         return test
 
-    table = {tag: recording(tag, holds) for tag, holds in complexes.PROPERTY_TAGS.items()}
+    table = {tag: recording(tag, holds) for tag, holds in exact.items()}
     monkeypatch.setattr(complexes, "PROPERTY_TAGS", table)
     spec = ComplexSpec.parse("connected,regular,loopless,simple")
     assert chain_basis(6, spec, EnumeratorSource()).dim == 1  # M(K4)
-    # all() stops at the first failing tag, so a tag is first tested only
-    # on a class that has passed every tag before it
-    assert list(dict.fromkeys(calls)) == ["simple", "loopless", "regular", "connected"]
+    order = ["simple", "loopless", "binary", "connected", "regular"]
+    assert list(dict.fromkeys(tag for tag, _ in calls)) == order
+    # all() stops at the first failing tag, so a tag is tested only on a
+    # record that has passed every tag before it
+    for tag, m in calls:
+        assert all(exact[t](m) for t in order[:order.index(tag)]), (tag, m)
 
 
 def test_connected_regular_basis(source):

@@ -20,7 +20,6 @@ from matroidc.errors import (
 from matroidc.matroid import (
     EMPTY,
     _completions,
-    _excluded_minors,
     _partition_roots,
     Graph,
     Matroid,
@@ -33,7 +32,7 @@ from matroidc.matroid import (
     uniform,
     wheel,
 )
-from oracles import check_exchange_pairwise
+from oracles import check_exchange_pairwise, excluded_minors, holds_by_excluded_minors
 
 
 def mask(*elements):
@@ -612,7 +611,7 @@ def _has_minor_unfiltered(m, pattern):
 def test_has_minor_agrees_with_unfiltered_route():
     patterns = set()
     for which in ("binary", "ternary", "regular", "graphic", "cographic"):
-        patterns.update(_excluded_minors(which))
+        patterns.update(excluded_minors(which))
     for n in range(0, 8):
         for m in enumerate_all(n):
             for x in patterns:
@@ -656,6 +655,33 @@ def test_representability_flags():
     # graphic matroids are regular
     for g in (complete_graph(3), wheel(3), Graph(2, [(1, 2), (1, 2)])):
         assert graphic(g).is_regular()
+
+
+def test_binary_by_representation_matches_u24_route():
+    # every class with n <= 7, each in three seeded relabellings
+    rng = random.Random(7)
+    seen = 0
+    for n in range(8):
+        for m in enumerate_all(n):
+            want = holds_by_excluded_minors(m, "binary")
+            seen += want
+            for _ in range(3):
+                p = list(range(1, n + 1))
+                rng.shuffle(p)
+                assert relabel(m, tuple(p)).is_binary() == want, (m.bases, p)
+    assert seen == 279  # 1, 2, 4, 8, 16, 32, 68, 148 binary classes (OEIS A076766)
+
+
+@pytest.mark.parametrize("which", ["regular", "graphic", "cographic"])
+def test_binary_gated_predicates_match_full_excluded_minor_lists(which):
+    holds = getattr(Matroid, f"is_{which}")
+    for n in range(8):
+        for m in enumerate_all(n):
+            assert holds(m) == holds_by_excluded_minors(m, which), m.bases
+    k5 = graphic(complete_graph(5))
+    k33 = graphic(Graph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]))
+    for m in (k5, k33, k5.dual(), k33.dual()):
+        assert holds(m) == holds_by_excluded_minors(m, which), m
 
 
 def test_random_relabelings_stay_valid():
