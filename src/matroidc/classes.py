@@ -3,25 +3,37 @@
 Orientations are never stored: a matroid on [n] implicitly carries the
 standard orientation 1^2^...^n, and every orientation comparison reduces
 to a permutation sign.  A class whose matroid admits an odd automorphism
-is zero, so such keys never appear in a vector.  Every operator on classes
+is zero, so such keys never appear in a vector.  `normalize` decides it.
+It first asks whether two elements are clones: whether swapping them, an
+odd permutation, fixes the basis family.  That test reads the
+basis-exchange table and needs no key, and it catches most zero classes
+(two loops, two coloops, a parallel or series pair).  Only a matroid
+without a clone pair takes the canonical search, whose key carries the
+odd-automorphism flag.  Every operator on classes
 (differentials, product, coproduct, maps on tensor factors) is the linear
 extension `ClassVector.map` of what it does to one key.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 
 from .canonical import CanonicalKey, canonical_form, perm_sign
 from .matroid import EMPTY, Matroid
 
 
+@lru_cache(maxsize=None)
 def normalize(m: Matroid) -> tuple[CanonicalKey, int] | None:
     """Rewrite [m, 1^...^n] as sign * [canonical rep, 1^...^n].
 
     Returns None when the class is zero, i.e. the representative admits an
-    orientation-reversing (odd) automorphism.
+    orientation-reversing (odd) automorphism.  A matroid with a clone pair
+    has one, a transposition, and returns None before any canonical search.
+    Each labelled matroid is normalized once.
     """
+    if m.has_clone_pair():
+        return None
     key, witness = canonical_form(m)
     if key.odd_auto:
         return None

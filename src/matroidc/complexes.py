@@ -3,7 +3,8 @@
 A chain basis in degree n consists of the canonical keys of all matroids
 on [n] that survive orientation (no odd automorphism) and satisfy the
 requested property tags.  Tags that need no key are tested before the
-canonical search, so a census record they reject is never searched.
+canonical search, so a census record they reject is never searched, and
+neither is one whose class a clone pair makes zero.
 Differential matrices carry the two signs of the basis formula: the
 interior-product sign (-1)^(i-1) of the deleted or contracted element, and
 the relabeling sign that moves the child back onto its canonical
@@ -15,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .canonical import CanonicalKey, canonical_form
+from .canonical import CanonicalKey
 from .classes import ClassVector, normalize
 from .errors import InvalidSpec, PropertyNotDualityStable, SourceIncomplete
 from .linalg import BettiRow, BettiTable, RankPolicy, SparseIntMatrix, rank_exact
@@ -198,11 +199,13 @@ def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
     """The keys of the classes on [n] that the spec keeps, from the source's
     records of degree n.
 
-    A record is first tested against the key-free tags the spec implies, so
-    one that fails them is never searched.  The keyed tags of the spec run
-    last, on the records whose key has no odd automorphism and lies in the
-    slice.  Records of one class give one key.  Both stages take the tags
-    in table order, so the cheap structural tests run first.
+    A record with a clone pair is zero and dropped first, because that test
+    drops most records and costs less than the binary one.  The rest are
+    tested against the key-free tags the spec implies, so one that fails
+    them is never searched, and `normalize` gives the key of a nonzero
+    class.  The keyed tags of the spec run last, on the records whose key
+    lies in the slice.  Records of one class give one key.  Both stages take
+    the tags in table order, so the cheap structural tests run first.
     """
     if n < 0:
         return ChainBasis(n, ())
@@ -218,10 +221,13 @@ def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
     ]
     keys = set()
     for m in source.require(n):
-        if not all(holds(m) for holds in key_free):
+        if m.has_clone_pair() or not all(holds(m) for holds in key_free):
             continue
-        key = canonical_form(m)[0]
-        if key in keys or key.odd_auto or not spec.key_in_slice(key):
+        nz = normalize(m)
+        if nz is None:
+            continue
+        key = nz[0]
+        if key in keys or not spec.key_in_slice(key):
             continue
         if all(holds(m) for holds in keyed):
             keys.add(key)

@@ -7,9 +7,10 @@ circuit is the fundamental circuit of an element outside some basis.  Every
 deletion, contraction, restriction and minor comes from one kernel,
 `Matroid.minor`, which takes one pass over the bases.  The basis-exchange
 table, from each independent (r-1)-set to the elements completing it to a
-basis, comes from `_completions` alone.  The binary test reads its GF(2)
-representation off that table and needs no canonical key; the other
-minor-closed tags search the canonical representative for excluded
+basis, comes from `_completions` alone.  Two tests read it and need no
+canonical key: the clone-pair test looks there for a transposition fixing
+the bases, and the binary test reads a GF(2) representation off it.  The
+other minor-closed tags search the canonical representative for excluded
 minors, behind a binary gate for regular, graphic and cographic, which
 then need only the minors that binary matroids can have.  All operations
 return new Matroid values; nothing is mutated after construction.  The
@@ -167,6 +168,25 @@ class Matroid:
 
     def is_simple(self) -> bool:
         return not self.loops_mask() and not self.has_parallel_pair()
+
+    def has_clone_pair(self) -> bool:
+        """Whether some transposition (e f) maps the bases onto themselves.
+
+        The swap fixes every basis holding both or neither of e and f, and
+        sends I + e to I + f for an (r-1)-set I avoiding both.  So it is an
+        automorphism exactly when, for every independent (r-1)-set I that
+        avoids e and f, both complete I to a basis or neither does; it reads
+        the exchange table and needs no canonical key.  Two loops, two
+        coloops, a parallel or series pair and any two elements of U(r,n)
+        are clones.  A transposition is odd, so such a class is zero.
+        """
+        table = _completions(self.bases).items()
+        for f in range(1, self.n):
+            for e in range(f):
+                pair = 1 << e | 1 << f
+                if all(rest & pair or c & pair in (0, pair) for rest, c in table):
+                    return True
+        return False
 
     def has_parallel_pair(self) -> bool:
         """Whether two non-loops lie in no common basis."""

@@ -5,7 +5,7 @@ only.  The rest are used by tests alone and are kept here, out of the
 package.
 """
 
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 
 from matroidc.canonical import (
     CanonicalKey,
@@ -121,6 +121,17 @@ def excluded_minors(which: str) -> tuple[Matroid, ...]:
 def holds_by_excluded_minors(m: Matroid, which: str) -> bool:
     """The tag decided by searching m for every one of its excluded minors."""
     return not any(m.has_minor(x) for x in excluded_minors(which))
+
+
+def has_clone_pair_bruteforce(m: Matroid) -> bool:
+    """Whether some transposition maps the basis family onto itself."""
+    base_set = set(m.bases)
+    for e, f in combinations(range(m.n), 2):
+        p = list(range(1, m.n + 1))
+        p[e], p[f] = p[f], p[e]
+        if {apply_perm_mask(b, p) for b in m.bases} == base_set:
+            return True
+    return False
 
 
 def has_series_pair(m: Matroid) -> bool:

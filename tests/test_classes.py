@@ -7,9 +7,9 @@ import pytest
 
 from matroidc.canonical import canonical_key, perm_sign, relabel
 from matroidc.classes import ClassVector, normalize
-from matroidc.complexes import DifferentialKind as K, apply_differential
-from matroidc.enumerate import enumerate_all
-from matroidc.matroid import EMPTY, complete_graph, graphic, uniform, wheel
+from matroidc.complexes import ALL, DifferentialKind as K, apply_differential, chain_basis
+from matroidc.enumerate import MatroidSource, enumerate_all
+from matroidc.matroid import EMPTY, Graph, complete_graph, graphic, uniform, wheel
 
 
 def test_normalize_zero_class():
@@ -41,6 +41,71 @@ def test_normalize_sign_composes_with_relabelings():
                 key2, sign2 = nz2
                 assert key2 == key
                 assert sign2 == sign * perm_sign(p)
+
+
+def _clear_caches():
+    from matroidc import canonical
+
+    normalize.cache_clear()
+    canonical._canon.cache_clear()
+    canonical._representatives.clear()
+
+
+def _searches(monkeypatch) -> list:
+    """Record the (n, r, bases) of every canonical search from here on."""
+    from matroidc import canonical
+
+    searched = []
+    search = canonical._search
+
+    def logging(n, r, bases):
+        searched.append((n, r, bases))
+        return search(n, r, bases)
+
+    monkeypatch.setattr(canonical, "_search", logging)
+    return searched
+
+
+def test_classes_with_clones_are_never_searched(monkeypatch):
+    parallel = graphic(Graph(3, [(1, 2), (1, 2), (2, 3), (1, 3)]))
+    gated = (uniform(0, 2), uniform(2, 2), uniform(2, 4), parallel, parallel.dual())
+    _clear_caches()
+    searched = _searches(monkeypatch)
+    for m in gated:
+        assert normalize(m) is None
+        assert ClassVector.of(m).is_zero()
+    assert searched == []
+
+
+class _Records(MatroidSource):
+    def __init__(self, records: dict):
+        self._records = records
+
+    def covers(self, n: int) -> bool:
+        return n in self._records
+
+    def representatives(self, n: int):
+        return self._records[n]
+
+
+def test_chain_basis_searches_only_records_without_clones(monkeypatch):
+    rng = random.Random(26)
+    records = {}
+    for n in range(7):
+        shuffled = []
+        for m in enumerate_all(n):
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            shuffled.append(relabel(m, tuple(p)))
+        records[n] = tuple(shuffled)
+    src = _Records(records)
+    _clear_caches()
+    searched = _searches(monkeypatch)
+    dims = [chain_basis(n, ALL, src).dim for n in range(7)]
+    assert dims == [1, 2, 1, 0, 0, 0, 2]
+    # each record without a clone pair is searched once, and no other
+    ungated = [(m.n, m.r, m.bases) for n in range(7) for m in records[n] if not m.has_clone_pair()]
+    assert sorted(searched) == sorted(ungated) != []
 
 
 def test_vector_arithmetic():

@@ -32,7 +32,12 @@ from matroidc.matroid import (
     uniform,
     wheel,
 )
-from oracles import check_exchange_pairwise, excluded_minors, holds_by_excluded_minors
+from oracles import (
+    check_exchange_pairwise,
+    excluded_minors,
+    has_clone_pair_bruteforce,
+    holds_by_excluded_minors,
+)
 
 
 def mask(*elements):
@@ -332,6 +337,36 @@ def test_loops_coloops_examples():
     assert uniform(1, 1).coloops() == {1}
     k4 = graphic(complete_graph(4))
     assert k4.loops() == set() == k4.coloops()
+
+
+def test_clone_gate_cases():
+    # two loops, two coloops, U(2,4), a parallel pair (a triangle with a
+    # doubled edge) and a series pair (its dual) have clones; M(K4) = M(W3),
+    # M(W5) and M(W7) have none
+    parallel = graphic(Graph(3, [(1, 2), (1, 2), (2, 3), (1, 3)]))
+    for m in (uniform(0, 2), uniform(2, 2), uniform(2, 4), parallel, parallel.dual()):
+        assert m.has_clone_pair(), m
+    for g in (3, 5, 7):
+        assert not graphic(wheel(g)).has_clone_pair(), g
+    assert not graphic(complete_graph(4)).has_clone_pair()
+    assert not EMPTY.has_clone_pair() and not uniform(0, 1).has_clone_pair()
+
+
+def test_clone_gate_is_exact_and_sound():
+    # the gate fires exactly when some transposition fixes the bases, in the
+    # enumerated labelling and in a random one, and a transposition is odd
+    rng = random.Random(26)
+    fired = 0
+    for n in range(8):
+        for m in enumerate_all(n):
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            for q in (m, relabel(m, tuple(p))):
+                gated = q.has_clone_pair()
+                assert gated == has_clone_pair_bruteforce(q), q
+                assert not gated or canonical_key(q).odd_auto, q
+                fired += gated
+    assert fired == 2 * 446
 
 
 def test_simple_loopless():
