@@ -109,14 +109,14 @@ def _implied(tags) -> frozenset[str]:
 
 class ComplexSpec:
     """Which subcomplex: property tags, "connected" among them for the
-    connected quotient, and an optional slice.  Equal specs hash equal, so
-    a spec can key the caches of `chain_basis` and `differential_matrix`."""
+    connected quotient, and an optional slice.  The tags may come as any
+    iterable and are kept as a frozenset, so equal specs hash equal and a
+    spec can key the caches of `chain_basis` and `differential_matrix`."""
 
     __slots__ = ("tags", "slice")
 
-    def __init__(
-        self, tags: frozenset[str] = frozenset(), slice: tuple[str, int] | None = None
-    ):
+    def __init__(self, tags=(), slice: tuple[str, int] | None = None):
+        tags = frozenset(tags)
         unknown = tags - set(PROPERTY_TAGS)
         if unknown:
             raise InvalidSpec(f"unknown property tags: {sorted(unknown)}")

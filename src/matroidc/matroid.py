@@ -2,14 +2,16 @@
 
 Elements are 1..n and element j occupies bit j-1 of a basis mask, so a
 basis family is a strictly sorted tuple of n-bit integers, and it is the
-only representation: independent sets are the subsets of bases, and every
-circuit is the fundamental circuit of an element outside some basis.  Every
+only representation: independent sets are the subsets of bases.  Every
 deletion, contraction, restriction and minor comes from one kernel,
 `Matroid.minor`, which takes one pass over the bases.  The basis-exchange
 table, from each independent (r-1)-set to the elements completing it to a
-basis, comes from `_completions` alone.  Two tests read it and need no
-canonical key: the clone-pair test looks there for a transposition fixing
-the bases, and the binary test reads a GF(2) representation off it.  The
+basis, comes from `_completions` alone, and what reads it needs no
+canonical key.  The clone-pair test looks there for a transposition fixing
+the bases.  `_fundamental_columns` reads off it which elements complete the
+first basis less each of its elements; the binary test takes those columns
+as the only candidate GF(2) representation, and `components` as the
+fundamental graph, whose connected parts are the direct summands.  The
 other minor-closed tags search the canonical representative for excluded
 minors, behind a binary gate for regular, graphic and cographic, which
 then need only the minors that binary matroids can have.  All operations
@@ -208,20 +210,17 @@ class Matroid:
         found = {s for b in self.bases for s in _subset_masks(b, size)}
         return [s for s in _subset_masks(self.full_mask, size) if s in found]
 
-    def circuits(self) -> set[int]:
-        """All circuits, as masks.
-
-        Each is the fundamental circuit of some basis B and element e outside
-        it: e together with every b in B for which B - b + e is a basis.
-        """
-        family = set(self.bases)
-        out = set()
-        for basis in self.bases:
-            inside = [1 << i for i in _bit_positions(basis)]
-            for i in _bit_positions(self.full_mask & ~basis):
-                e = 1 << i
-                out.add(sum(b for b in inside if (basis ^ b | e) in family) | e)
-        return out
+    def _fundamental_columns(self) -> list[int]:
+        """For each element e, the mask with bit k set when e completes B - b_k
+        to a basis, where B = {b_0 < b_1 < ...} is the first basis.  Each b_k
+        has bit k alone; a loop has none."""
+        table = _completions(self.bases)
+        basis = self.bases[0]
+        cols = [0] * self.n
+        for k, b in enumerate(_bit_positions(basis)):
+            for e in _bit_positions(table[basis & ~(1 << b)]):
+                cols[e] |= 1 << k
+        return cols
 
     # -- minors / duality ----------------------------------------------------
 
@@ -286,11 +285,14 @@ class Matroid:
     def components(self) -> list[set[int]]:
         """Finest partition of the ground set into direct summands.
 
-        Elements are related when they lie in a common circuit; loops and
-        coloops end up as singletons.
+        They are the connected parts of the fundamental graph of the first
+        basis B, which joins b in B to each e for which B - b + e is a basis
+        (Oxley, Matroid Theory); loops and coloops end up as singletons.
         """
+        inside = _bit_positions(self.bases[0])
         roots = _partition_roots(self.n, (
-            ((c & -c).bit_length() - 1, b) for c in self.circuits() for b in _bit_positions(c)
+            (inside[k], e) for e, col in enumerate(self._fundamental_columns())
+            for k in _bit_positions(col)
         ))
         groups: dict[int, set[int]] = {}
         for i, root in enumerate(roots):
@@ -334,23 +336,16 @@ class Matroid:
     def is_binary(self) -> bool:
         """Whether M is representable over GF(2); no key or minor is needed.
 
-        Take the first basis B = {b_0 < b_1 < ...} and give each element e
-        the column with bit k set when e completes B - b_k to a basis.  Row
-        operations bring any GF(2) representation of M to the form [I | D]
-        on B, and then an entry of D is nonzero exactly when the basis
-        exchange it stands for exists.  So these columns are M's only
-        candidate representation (Brylawski & Lucas 1976), and M is binary
+        Row operations bring any GF(2) representation of M to the form
+        [I | D] on the first basis B, and then an entry of D is nonzero
+        exactly when the basis exchange it stands for exists.  So the
+        columns of `_fundamental_columns` are M's only candidate
+        representation (Brylawski & Lucas 1976), and M is binary
         exactly when its bases are their independent r-sets.
         """
-        table = _completions(self.bases)
-        basis = self.bases[0]
-        cols = [0] * self.n
-        for k, b in enumerate(_bit_positions(basis)):
-            for e in _bit_positions(table[basis & ~(1 << b)]):
-                cols[e] |= 1 << k
         family = set(self.bases)
         count = 0
-        for s in _f2_bases(cols, self.r):
+        for s in _f2_bases(self._fundamental_columns(), self.r):
             if s not in family:
                 return False
             count += 1

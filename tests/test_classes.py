@@ -3,13 +3,11 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from matroidc.canonical import canonical_key, perm_sign, relabel
 from matroidc.classes import ClassVector, normalize
-from matroidc.complexes import ALL, DifferentialKind as K, apply_differential, chain_basis
+from matroidc.complexes import ALL, chain_basis
 from matroidc.enumerate import MatroidSource, enumerate_all
-from matroidc.matroid import EMPTY, Graph, complete_graph, graphic, uniform, wheel
+from matroidc.matroid import EMPTY, Graph, complete_graph, graphic, uniform
 
 
 def test_normalize_zero_class():
@@ -126,18 +124,6 @@ def test_map_is_the_linear_extension():
     # images that cancel leave no zero coefficient behind
     assert v.map(lambda k: [(loop, 1)]) == ClassVector({loop: 1})
     assert ClassVector({loop: 1, coloop: -1}).map(lambda k: [(loop, 1)]).is_zero()
-
-
-@pytest.mark.parametrize("g", [3, 4, 5, 6])
-def test_odd_wheels_are_cycles_and_even_wheels_vanish(g):
-    v = ClassVector.of(graphic(wheel(g)))
-    if g % 2 == 0:
-        # M(W_g) has an odd automorphism, so its class is zero
-        assert v.is_zero()
-        return
-    assert not v.is_zero()
-    for kind in (K.DEL, K.CON):
-        assert apply_differential(kind, v).is_zero()
 
 
 def test_bidegrees():

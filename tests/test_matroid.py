@@ -524,33 +524,34 @@ def test_delete_commutes():
 # -- circuits and connectivity -----------------------------------------------------
 
 
-def test_circuits_examples():
-    assert uniform(1, 2).circuits() == {mask(1, 2)}
-    assert uniform(0, 1).circuits() == {mask(1)}
-    k4_circuits = graphic(complete_graph(4)).circuits()
-    assert len(k4_circuits) == 7
-    assert all(c.bit_count() in (3, 4) for c in k4_circuits)
-
-
 def test_circuits_and_independent_sets_match_rank_oracle():
-    # circuits are the minimal sets S with rank_of(S) < |S|; the independent
-    # k-sets are the k-subsets of bases, in combinations order
+    # circuits are the minimal sets S with rank_of(S) < |S|, and the
+    # components are the classes of the partition joining the elements of
+    # each, ordered by smallest element; the independent k-sets are the
+    # k-subsets of bases, in combinations order.  A relabelling moves the
+    # first basis, which the components are read from.
+    rng = random.Random(27)
     for n in range(0, 7):
         for m in enumerate_all(n):
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            for q in (m, relabel(m, tuple(p))):
 
-            def dependent(s):
-                return m.rank_of(s) < s.bit_count()
+                def dependent(s):
+                    return q.rank_of(s) < s.bit_count()
 
-            minimal = {
-                s for s in range(1 << n)
-                if dependent(s)
-                and not any(dependent(s & ~(1 << i)) for i in range(n) if s >> i & 1)
-            }
-            assert m.circuits() == minimal, m.bases
-            for k in range(n + 2):
-                subsets = [mask(*c) for c in combinations(range(1, n + 1), k)]
-                want = [s for s in subsets if any(s & b == s for b in m.bases)]
-                assert m.independent_sets(k) == want, (m.bases, k)
+                circuits = [
+                    [i for i in range(n) if s >> i & 1] for s in range(1 << n)
+                    if dependent(s)
+                    and not any(dependent(s & ~(1 << i)) for i in range(n) if s >> i & 1)
+                ]
+                pairs = [(min(c), x) for c in circuits for x in c]
+                classes = sorted(partition_classes(n, pairs), key=min)
+                assert q.components() == [{x + 1 for x in c} for c in classes], q.bases
+                for k in range(n + 2):
+                    subsets = [mask(*c) for c in combinations(range(1, n + 1), k)]
+                    want = [s for s in subsets if any(s & b == s for b in q.bases)]
+                    assert q.independent_sets(k) == want, (q.bases, k)
 
 
 def test_partition_roots_match_bfs_components():
