@@ -7,10 +7,12 @@ deletion, contraction, restriction and minor comes from one kernel,
 `Matroid.minor`, which takes one pass over the bases.  The basis-exchange
 table, from each independent (r-1)-set to the elements completing it to a
 basis, comes from `_completions` alone, and what reads it needs no
-canonical key.  The clone-pair test looks there for a transposition fixing
-the bases.  `_fundamental_columns` reads off it which elements complete the
-first basis less each of its elements; the binary test takes those columns
-as the only candidate GF(2) representation, and `components` as the
+canonical key.  `check_exchange` ORs over each entry's completions the
+mask of basis indices holding each, so (B2) is one test per entry.  The
+clone-pair test looks in the table for a transposition fixing the bases.
+`_fundamental_columns` reads off it which elements complete the first
+basis less each of its elements; the binary test takes those columns as
+the only candidate GF(2) representation, and `components` as the
 fundamental graph, whose connected parts are the direct summands.  The
 other minor-closed tags search the canonical representative for excluded
 minors, behind a binary gate for regular, graphic and cographic, which
@@ -92,27 +94,47 @@ def _completions(bases) -> dict[int, int]:
     for which I + x is a basis.  Rank 0 gives an empty table."""
     out: dict[int, int] = {}
     for b in bases:
-        for e in _bit_positions(b):
-            rest = b & ~(1 << e)
-            out[rest] = out.get(rest, 0) | 1 << e
+        rest = b
+        while rest:
+            low = rest & -rest
+            out[b ^ low] = out.get(b ^ low, 0) | low
+            rest ^= low
     return out
 
 
 def check_exchange(bases: tuple[int, ...]) -> None:
     """Raise ExchangeViolation unless the family satisfies axiom (B2).
 
-    For basis s and element i of s, `_completions` maps s - i to i and every
-    j for which s - i + j is a basis.  A basis t fails exchange with s at i
-    exactly when it meets none of them.  Pairs are tried in the order
-    (s, t, i), so the first violation reported is the first in that order.
+    A basis t fails exchange with s at i when it avoids every element that
+    completes s - i in `_completions`, so each entry ORs the basis-index
+    masks of the holders of its completions; the bases left out miss it.
+    When some entry is missed, the bases s are walked in order: the lowest
+    index missing some s - i is the first failing t, and x is the first such
+    i in bit order, so the violation is the first in (s, t, i) order.
     """
-    table = _completions(bases)
+    holders: dict[int, int] = {}
+    for j, b in enumerate(bases):
+        while b:
+            low = b & -b
+            holders[low] = holders.get(low, 0) | 1 << j
+            b ^= low
+    everyone = (1 << len(bases)) - 1
+    missed = {}
+    for rest, wit in _completions(bases).items():
+        hit = 0
+        while wit:
+            low = wit & -wit
+            hit |= holders[low]
+            wit ^= low
+        if hit != everyone:
+            missed[rest] = everyone ^ hit
+    if not missed:
+        return
     for s in bases:
-        wits = [(i, table[s & ~(1 << i)]) for i in _bit_positions(s)]
-        for t in bases:
-            for i, wit in wits:
-                if not t & wit:
-                    raise ExchangeViolation(s, t, i + 1)
+        firsts = [(m & -m, i) for i in _bit_positions(s) if (m := missed.get(s ^ 1 << i))]
+        if firsts:
+            t, x = min(firsts)
+            raise ExchangeViolation(s, bases[t.bit_length() - 1], x + 1)
 
 
 class Matroid:
@@ -380,9 +402,11 @@ def _subset_masks(ground: int, size: int, descending: bool = False):
 
 
 def from_bases(n: int, r: int, bases) -> Matroid:
-    """Build a matroid after checking (B1), popcounts, bit range and (B2)."""
+    """Build a matroid after checking rank, (B1), bit range, popcounts and (B2)."""
     if n < 0 or n > MAX_ELEMENTS:
         raise BitOutOfRange(f"ground set size {n} outside 0..{MAX_ELEMENTS}")
+    if r < 0 or r > n:
+        raise InvalidRank(f"rank {r} outside 0..{n}")
     fam = sorted(set(int(b) for b in bases))
     if not fam:
         raise EmptyBases("a matroid needs at least one basis")
@@ -392,8 +416,6 @@ def from_bases(n: int, r: int, bases) -> Matroid:
             raise BitOutOfRange(f"basis {b:#x} uses bits outside [{n}]")
         if b.bit_count() != r:
             raise BadPopcount(f"basis {b:#x} has size {b.bit_count()}, not {r}")
-    if r < 0 or r > n:
-        raise InvalidRank(f"rank {r} outside 0..{n}")
     fam = tuple(fam)
     check_exchange(fam)
     return Matroid(n, r, fam)

@@ -161,6 +161,16 @@ def check_exchange_pairwise(bases: tuple[int, ...]) -> None:
                     raise ExchangeViolation(s, t, i + 1)
 
 
+def drop_pair(bases: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The family less bases[k] and the last basis sharing all but one of
+    its elements.  Dropping bases[k] alone from U(r, n) leaves a matroid, in
+    which it is a circuit-hyperplane; dropping both breaks (B2) at their
+    common part."""
+    x = bases[k]
+    y = [b for b in bases if (b & x).bit_count() == x.bit_count() - 1][-1]
+    return tuple(b for b in bases if b not in (x, y))
+
+
 def from_triples(rows, cols, triples) -> SparseIntMatrix:
     e = {}
     for i, j, v in triples:

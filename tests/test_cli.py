@@ -11,6 +11,9 @@ import pytest
 from matroidc.cli import _get_source, build_parser, main
 from matroidc.complexes import ComplexSpec
 from matroidc.enumerate import enumerate_all, parse_mtrd, write_mtrd
+from matroidc.errors import ExchangeViolation
+from matroidc.matroid import uniform
+from oracles import check_exchange_pairwise, drop_pair
 
 
 def run(capsys, *argv):
@@ -336,6 +339,24 @@ def test_malformed_directive_exits_as_parse_error(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "(line 2)" in err
+
+
+def test_exchange_violation_past_one_word_stops_the_census(tmp_path, capsys):
+    # U(4,9) less two bases that share three elements: 124 bases, so the
+    # basis-index masks are wider than 64 bits; the record is on line 4
+    bad = drop_pair(uniform(4, 9).bases, 63)
+    with pytest.raises(ExchangeViolation) as expected:
+        check_exchange_pairwise(bad)
+    witness = str(expected.value)
+    p = tmp_path / "bad.mtrd"
+    p.write_text("MTRD 1\n1 1 1 1\n2 1 2 1 2\n9 4 124 " + " ".join(map(str, bad)) + "\n")
+    for argv in (
+        ("ingest-check", "--source", str(p)),
+        ("homology", "--kind", "del", "--max-n", "9", "--source", str(p)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"{witness} (line 4)" in err
 
 
 def test_f2db_record_error_names_its_line(tmp_path, capsys):

@@ -355,6 +355,14 @@ def test_mtrd_bad_popcount(tmp_path):
     assert exc_info.value.line == 2
 
 
+def test_mtrd_rank_outside_the_ground_set(tmp_path):
+    p = tmp_path / "rank.mtrd"
+    p.write_text("MTRD 1\n3 5 1 7\n")  # mask 7 has popcount 3, but rank 5 > n
+    with pytest.raises(ParseError, match=r"rank 5 outside 0\.\.3 \(line 2\)") as exc_info:
+        parse_mtrd(str(p))
+    assert exc_info.value.line == 2
+
+
 def test_mtrd_exchange_violation_carries_line(tmp_path):
     p = tmp_path / "bad2.mtrd"
     p.write_text("MTRD 1\n# comment\n4 2 2 3 12\n")

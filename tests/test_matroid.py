@@ -34,6 +34,7 @@ from matroidc.matroid import (
 )
 from oracles import (
     check_exchange_pairwise,
+    drop_pair,
     excluded_minors,
     has_clone_pair_bruteforce,
     holds_by_excluded_minors,
@@ -209,6 +210,15 @@ def test_from_bases_errors():
         from_bases(4, 2, [mask(1, 2), mask(3, 4)])
 
 
+def test_from_bases_checks_the_rank_before_the_popcounts():
+    # every basis of a rank outside 0..n has the wrong size too, so the rank
+    # must be named first
+    with pytest.raises(InvalidRank, match=r"^rank 5 outside 0\.\.3$"):
+        from_bases(3, 5, [7])
+    with pytest.raises(InvalidRank, match=r"^rank -1 outside 0\.\.2$"):
+        from_bases(2, -1, [0])
+
+
 def exchange_outcome(check, bases):
     try:
         check(bases)
@@ -234,6 +244,26 @@ def test_check_exchange_matches_the_pairwise_reference():
     got = [exchange_outcome(check_exchange, f) for f in families]
     assert got == [exchange_outcome(check_exchange_pairwise, f) for f in families]
     assert got.count(None) > 500 and len(got) - got.count(None) > 500
+
+
+def test_check_exchange_matches_the_pairwise_reference_past_one_word():
+    # 70, 126 and 252 bases, so the basis-index masks are wider than 64
+    # bits, and a dropped late basis puts the first violation deep in
+    # (s, t, i) order; every n = 6 class also loses each basis in turn
+    passing, failing = [], []
+    for r, n in ((4, 8), (4, 9), (5, 10)):
+        bases = uniform(r, n).bases
+        passing.append(bases)
+        for k in (0, len(bases) // 2, len(bases) - 1):
+            passing.append(bases[:k] + bases[k + 1:])
+            failing.append(drop_pair(bases, k))
+    families = passing + failing + [
+        m.bases[:k] + m.bases[k + 1:] for m in enumerate_all(6) for k in range(len(m.bases))
+    ]
+    got = [exchange_outcome(check_exchange, f) for f in families]
+    assert got == [exchange_outcome(check_exchange_pairwise, f) for f in families]
+    assert got[:12] == [None] * 12 and None not in got[12:21]
+    assert got.count(None) > 100 and len(got) - got.count(None) > 100
 
 
 def test_completions_match_the_table_from_every_basis_subset():
