@@ -8,7 +8,8 @@ neither is one whose class a clone pair makes zero.
 Differential matrices carry the two signs of the basis formula: the
 interior-product sign (-1)^(i-1) of the deleted or contracted element, and
 the relabeling sign that moves the child back onto its canonical
-representative.
+representative.  `_boundary_terms` computes each key's boundary once per kind
+and is the table that `differential_matrix` and `apply_differential` read.
 """
 
 from __future__ import annotations
@@ -234,8 +235,10 @@ def chain_basis(n: int, spec: ComplexSpec, source) -> ChainBasis:
     return ChainBasis(n, tuple(sorted(keys, key=lambda k: k.encoding)))
 
 
+@lru_cache(maxsize=None)
 def _boundary_terms(kind: DifferentialKind, key: CanonicalKey):
-    """(child key, sign) for each surviving term of the differential of [key].
+    """(child key, sign) for each surviving term of the differential of [key],
+    in the order of the removed elements; one tuple per (kind, key).
 
     The sign is the interior-product sign of the removed element times the
     relabeling sign onto the child's canonical representative.  A child key
@@ -243,12 +246,14 @@ def _boundary_terms(kind: DifferentialKind, key: CanonicalKey):
     """
     m = key.matroid()
     remove = getattr(m, kind.operation)
+    terms = []
     for i in _bit_positions(kind.elements(m)):
         nz = normalize(remove(i + 1))
         if nz is None:
             continue
         ckey, s = nz
-        yield ckey, (s if i % 2 == 0 else -s)
+        terms.append((ckey, s if i % 2 == 0 else -s))
+    return tuple(terms)
 
 
 def apply_differential(kind: DifferentialKind, v: ClassVector) -> ClassVector:
@@ -446,7 +451,7 @@ def _betti_rows(
     """
     policy = policy or RankPolicy()
     if not source.covers(hi):
-        raise SourceIncomplete(f"source does not cover degree {hi}")
+        raise SourceIncomplete(f"{source!r} does not cover degree {hi}")
     top = hi + 1 if source.covers(hi + 1) else hi
 
     dims = {n: chain_basis(n, spec, source).dim for n in range(lo, top + 1)}

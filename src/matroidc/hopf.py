@@ -14,10 +14,11 @@ square, `_tensor_star`, both go through it.  A map f of degree k acts on
 factor i of a tensor term through `_on_factor`, which charges the Koszul
 sign (-1)^(k * |factors before i|).
 
-Each key's coproduct terms and each pair of keys' product are computed once
-and read from a table afterwards: `_coproduct_terms` and `_key_product` are
+Each key's coproduct terms, each pair of keys' product and each key's
+differential are computed once and read from a table afterwards:
+`_coproduct_terms`, `_key_product` and `complexes._boundary_terms` are
 cached on their keys and return tuples, so a repeated read sees the same
-terms.  The identity checks apply the coproduct to the same few keys many
+terms.  The identity checks apply each operator to the same few keys many
 times over.
 """
 

@@ -53,17 +53,24 @@ def _bit_positions(mask: int) -> list[int]:
 def _squeeze(masks, keep: int) -> tuple[int, ...]:
     """Sorted distinct masks with the bits of `keep` moved down to 0, 1, ...
 
-    Bits outside `keep` must already be clear.  Kept bits that move by the
-    same shift form one block, so each mask takes one shift per block.
+    Bits outside `keep` must already be clear.  A run of adjacent kept bits
+    moves by one shift, so each mask takes one shift per run.
     """
-    blocks: dict[int, int] = {}
-    for dest, pos in enumerate(_bit_positions(keep)):
-        blocks[pos - dest] = blocks.get(pos - dest, 0) | 1 << dest
-    masks = list(masks)
-    out = [0] * len(masks)
-    for shift, block in blocks.items():
-        out = [o | (b >> shift) & block for o, b in zip(out, masks)]
-    return tuple(sorted(set(out)))
+    runs, dest = [], 0
+    while keep:
+        low = keep & -keep
+        run = keep & ~(keep + low)
+        shift = low.bit_length() - 1 - dest
+        dest += run.bit_count()
+        runs.append((shift, run >> shift))
+        keep ^= run
+    out = set()
+    for b in masks:
+        o = 0
+        for shift, block in runs:
+            o |= b >> shift & block
+        out.add(o)
+    return tuple(sorted(out))
 
 
 def _partition_roots(n: int, pairs, start=None) -> list[int]:

@@ -131,6 +131,12 @@ def test_homology_coverage_exit(capsys, tmp_path):
     assert code == 2 and "source" in err
 
 
+def test_homology_past_the_in_process_census_names_the_source(capsys):
+    code, out, err = run(capsys, "homology", "--max-n", "8")
+    assert (code, out) == (2, "")
+    assert "EnumeratorSource(max_n=7" in err
+
+
 def test_verify_suites(capsys):
     for suite, max_n in (
         ("square", "4"),

@@ -95,6 +95,13 @@ def test_operator_tables_give_the_same_terms_on_every_read():
     for a, b in ((k4, loop), (coloop, loop)):
         first, second = star(a, b), star(a, b)
         assert first == second and not first.is_zero()
+    # removing either summand of the coloop plus the loop leaves a class
+    # of its own, so that boundary has two terms
+    both = star(coloop, loop)
+    for kind, v in ((K.DEL, loop), (K.CON, coloop), (K.DEL_TOT, both)):
+        first, second = apply_differential(kind, v), apply_differential(kind, v)
+        assert first == second and not first.is_zero()
+    assert len(apply_differential(K.DEL_TOT, both).terms) == 2
 
 
 def test_coproduct_matches_the_direct_subset_sum():

@@ -21,6 +21,7 @@ from matroidc.matroid import (
     EMPTY,
     _completions,
     _partition_roots,
+    _squeeze,
     Graph,
     Matroid,
     check_exchange,
@@ -466,6 +467,51 @@ def test_minor_matches_single_element_route():
                     if not dmask:
                         break
                     dmask = (dmask - 1) & rest
+
+
+def squeeze_bit_by_bit(masks, keep, width):
+    """The sorted distinct masks with every bit outside keep dropped, highest
+    first, by _compress_bit; independent of _squeeze."""
+    out = set()
+    for b in masks:
+        for i in range(width - 1, -1, -1):
+            if not keep >> i & 1:
+                b = _compress_bit(b, i)
+        out.add(b)
+    return tuple(sorted(out))
+
+
+def keep_with_runs(rng, width, runs):
+    """A mask of the given width made of `runs` runs of adjacent set bits."""
+    cuts = sorted(rng.sample(range(width + 1), 2 * runs))
+    return sum((1 << hi) - (1 << lo) for lo, hi in zip(cuts[::2], cuts[1::2]))
+
+
+def test_squeeze_matches_bit_by_bit_past_three_runs():
+    # every keep of width <= 10 (up to five runs), then seeded keeps of width
+    # 11..16 with up to eight; the masks are subsets of keep, repeats among them
+    rng = random.Random(29)
+    keeps = [(keep, 10) for keep in range(1 << 10)]
+    for _ in range(2000):
+        width = rng.randint(11, 16)
+        runs = rng.randint(1, min(8, (width + 1) // 2))
+        keeps.append((keep_with_runs(rng, width, runs), width))
+    # a run starts at each kept bit whose lower neighbour is not kept
+    assert max((keep & ~(keep << 1)).bit_count() for keep, _ in keeps) == 8
+    for keep, width in keeps:
+        masks = [keep, 0] + [rng.getrandbits(width) & keep for _ in range(6)]
+        masks.append(masks[-1])
+        assert _squeeze(masks, keep) == squeeze_bit_by_bit(masks, keep, width)
+
+
+def test_minor_matches_single_element_route_at_n6():
+    rng = random.Random(30)
+    for m in enumerate_all(6):
+        for _ in range(40):
+            fate = [rng.randrange(3) for _ in range(6)]
+            cmask = sum(1 << i for i, f in enumerate(fate) if f == 1)
+            dmask = sum(1 << i for i, f in enumerate(fate) if f == 2)
+            assert same(m.minor(cmask, dmask), minor_one_at_a_time(m, cmask, dmask))
 
 
 def test_minor_checks_its_masks():
