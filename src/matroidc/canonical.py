@@ -106,16 +106,17 @@ class CanonicalKey:
     """Isomorphism-class fingerprint: canonical basis family plus parity flag.
 
     Two keys are equal when all four fields are; the hash is that of the
-    field tuple.
+    field tuple, taken once at construction as `Matroid` takes its own.
     """
 
-    __slots__ = ("n", "r", "masks", "odd_auto")
+    __slots__ = ("n", "r", "masks", "odd_auto", "_hash")
 
     def __init__(self, n: int, r: int, masks: tuple[int, ...], odd_auto: bool):
         self.n = n
         self.r = r
         self.masks = masks
         self.odd_auto = odd_auto
+        self._hash = hash((n, r, masks, odd_auto))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -125,7 +126,7 @@ class CanonicalKey:
         )
 
     def __hash__(self):
-        return hash((self.n, self.r, self.masks, self.odd_auto))
+        return self._hash
 
     @property
     def encoding(self) -> bytes:

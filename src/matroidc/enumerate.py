@@ -16,6 +16,16 @@ isomorphism-invariant rule picks as its last.  The rule ranks elements by
 the number of bases through them, so most children are dropped by one pass
 over their bases, before any canonical search.
 
+The step has a key-free half and a keyed one.  `_candidates` keeps every
+child whose new element lies in the most bases and that holds the tags
+below; each class appears among them, some more than once.  `_augmented`
+keys the candidates and makes the augmentation decision.  One table per
+degree, `_candidates_on`, feeds both `_census` and
+`EnumeratorSource.records`, so a degree is extended once.  A chain basis
+reads the candidates as a census's records and drops those with a clone
+pair unsearched, so at the top degree only the clone-free candidates are
+searched.
+
 Generation can be restricted to the classes that are simple or loopless.
 Both tags are deletion-closed, so the canonical parent of such a class has
 the tag too, and extending only the parents that have it still reaches
@@ -225,11 +235,17 @@ def extend_by_element(m: Matroid, automorphisms=()) -> list[Matroid]:
     index = {h: k for k, h in enumerate(hyperplanes)}
     pairs = []
     for g in automorphisms:
-        image = [1 << index[apply_perm_mask(h, g)] for h in hyperplanes]
-        pairs += [
-            (i, position[sum(image[k] for k in _bit_positions(inside))])
-            for i, inside in enumerate(subclasses)
-        ]
+        # each hyperplane's bit to its image's, read off one low bit at a time
+        image = {
+            1 << k: 1 << index[apply_perm_mask(h, g)] for k, h in enumerate(hyperplanes)
+        }
+        for i, inside in enumerate(subclasses):
+            moved = 0
+            while inside:
+                low = inside & -inside
+                moved |= image[low]
+                inside ^= low
+            pairs.append((i, position[moved]))
     roots = _partition_roots(len(subclasses), pairs)
     for i, inside in enumerate(subclasses):
         if roots[i] == i:
@@ -239,29 +255,27 @@ def extend_by_element(m: Matroid, automorphisms=()) -> list[Matroid]:
     return out
 
 
-def _extension_step(parents, tags=frozenset()) -> tuple[Matroid, ...]:
-    """All classes on [n+1] that hold every tag in tags, a subset of
-    EXTENSION_TAGS, from parents that hold exactly one matroid of each such
-    class on [n]: a complete, pairwise non-isomorphic set.
+def _basis_counts(m: Matroid) -> list[int]:
+    """The number of bases of m through each element."""
+    counts = [0] * m.n
+    for b in m.bases:
+        for x in _bit_positions(b):
+            counts[x] += 1
+    return counts
 
-    A child C adds the element e = n+1 to its parent.  It is kept only when
-    e lies in the Aut(C)-orbit of C's canonical last element: of the
-    elements in the most bases of C, the one with the largest canonical
-    label (McKay 1998).  That orbit is an isomorphism invariant, so each
-    class on [n+1] is kept once: from the class of C minus that element,
-    through the one child of its orbit under the parent's automorphisms.
-    A child with e outside the most bases is dropped unsearched, and one
-    with e alone there is kept without deciding; only the rest pay for
-    `canonical_form`'s witness and `automorphism_generators`' orbit.
 
-    A child that the count keeps but that lacks one of the tags is dropped
-    before `canonical_key`.  The tags are deletion-closed, so a class that
-    holds them is still reached from its canonical parent, which holds them
-    too.  With no tags every child is a candidate.
+def _candidates(parents, tags=frozenset()) -> tuple[Matroid, ...]:
+    """The key-free half of `_extension_step`: every child of every parent,
+    one per orbit under the parent's automorphisms, whose new element lies
+    in the most bases and that holds every tag in tags, a subset of
+    EXTENSION_TAGS.
 
-    A repeated parent class, or generators that miss part of Aut(parent),
-    can keep a class twice.  That raises MatroidError naming the key rather
-    than being merged in silence.
+    From parents that hold one matroid of each such class on [n], the
+    candidates hold at least one matroid of each such class on [n+1]: the
+    child that adds a class's canonical last element to its canonical
+    parent (McKay 1998).  A class may repeat.  The tags are deletion-closed,
+    so that parent holds them too, and a child without them is dropped
+    here, before any canonical search.
     """
     unknown = set(tags) - set(EXTENSION_TAGS)
     if unknown:
@@ -270,36 +284,67 @@ def _extension_step(parents, tags=frozenset()) -> tuple[Matroid, ...]:
             f"not {sorted(unknown)}"
         )
     tests = [holds for tag, holds in PROPERTY_TAGS.items() if tag in tags]
-    keys: set = set()
+    out = []
     for parent in parents:
         for child in extend_by_element(parent, automorphism_generators(parent)):
-            e = child.n - 1
-            counts = [0] * child.n
-            for b in child.bases:
-                for x in _bit_positions(b):
-                    counts[x] += 1
-            top = counts[e]
-            if max(counts) > top:
+            counts = _basis_counts(child)
+            if max(counts) > counts[-1]:
                 continue
-            if not all(holds(child) for holds in tests):
+            if all(holds(child) for holds in tests):
+                out.append(child)
+    return tuple(out)
+
+
+def _augmented(candidates) -> tuple[Matroid, ...]:
+    """The keyed half of `_extension_step`: one representative of each class
+    among the candidates, each the child through its canonical last element.
+
+    A candidate C adds the element e = n+1 to its parent, and e lies in the
+    most bases of C.  It is kept only when e lies in the Aut(C)-orbit of
+    C's canonical last element: of the elements in the most bases of C, the
+    one with the largest canonical label (McKay 1998).  That orbit is an
+    isomorphism invariant, so each class is kept once: from the class of C
+    minus that element, through the one child of its orbit under the
+    parent's automorphisms.  A candidate with e alone in the most bases is
+    kept without deciding; only the rest pay for `canonical_form`'s witness
+    and `automorphism_generators`' orbit.
+
+    Candidates from a repeated parent class, or from generators that miss
+    part of Aut(parent), can keep a class twice.  That raises MatroidError
+    naming the key rather than being merged in silence.
+    """
+    keys: set = set()
+    for child in candidates:
+        key = canonical_key(child)
+        counts = _basis_counts(child)
+        e = child.n - 1
+        tied = [x for x, c in enumerate(counts) if c == counts[e]]
+        if len(tied) > 1:
+            witness = canonical_form(child)[1]
+            last = max(tied, key=lambda x: witness[x])
+            roots = _partition_roots(child.n, (
+                (x, g[x] - 1) for g in automorphism_generators(child) for x in tied
+            ))
+            if roots[last] != roots[e]:
                 continue
-            key = canonical_key(child)
-            tied = [x for x, c in enumerate(counts) if c == top]
-            if len(tied) > 1:
-                witness = canonical_form(child)[1]
-                last = max(tied, key=lambda x: witness[x])
-                roots = _partition_roots(child.n, (
-                    (x, g[x] - 1) for g in automorphism_generators(child) for x in tied
-                ))
-                if roots[last] != roots[e]:
-                    continue
-            if key in keys:
-                raise MatroidError(
-                    f"extension step kept {key!r} twice: its parents repeat a class"
-                    " or their automorphism generators miss part of the group"
-                )
-            keys.add(key)
+        if key in keys:
+            raise MatroidError(
+                f"extension step kept {key!r} twice: its parents repeat a class"
+                " or their automorphism generators miss part of the group"
+            )
+        keys.add(key)
     return _classes(keys)
+
+
+def _extension_step(parents, tags=frozenset()) -> tuple[Matroid, ...]:
+    """All classes on [n+1] that hold every tag in tags, a subset of
+    EXTENSION_TAGS, from parents that hold exactly one matroid of each such
+    class on [n]: a complete, pairwise non-isomorphic set.
+
+    The key-free `_candidates` test each child's basis counts and tags, and
+    `_augmented` keys the candidates and keeps one child per class.
+    """
+    return _augmented(_candidates(parents, tags))
 
 
 def enumerate_by_extension(n: int, tags=frozenset()) -> list[Matroid]:
@@ -326,7 +371,14 @@ def _census(n: int, tags: frozenset[str]) -> tuple[Matroid, ...]:
     """enumerate_all's table, keyed by n and the tags as a frozenset."""
     if n == 0:
         return (EMPTY,)
-    return _extension_step(enumerate_all(n - 1, tags), tags)
+    return _augmented(_candidates_on(n, tags))
+
+
+@lru_cache(maxsize=None)
+def _candidates_on(n: int, tags: frozenset[str]) -> tuple[Matroid, ...]:
+    """The extension candidates on [n], n >= 1, from enumerate_all(n - 1):
+    one table per degree, read by `_census` and `EnumeratorSource.records`."""
+    return _candidates(enumerate_all(n - 1, tags), tags)
 
 
 # -- sources ----------------------------------------------------------------
@@ -365,6 +417,10 @@ class EnumeratorSource(MatroidSource):
     `complexes.chain_basis` refuses any spec whose classes could lack them.
     The other tags cost more to test during generation than they save, so
     `chain_basis` filters by them as it does for any census.
+
+    Its records of degree n are the key-free extension candidates of the
+    classes on [n-1], the table that `enumerate_all(n)` keys, so a chain
+    basis that drops records with a clone pair searches only the rest.
     """
 
     def __init__(self, max_n: int = ENUMERATION_LIMIT, tags=frozenset()):
@@ -379,6 +435,11 @@ class EnumeratorSource(MatroidSource):
 
     def representatives(self, n: int) -> tuple[Matroid, ...]:
         return enumerate_all(n, self._tags)
+
+    def records(self, n: int) -> tuple[Matroid, ...]:
+        if n == 0:
+            return (EMPTY,)
+        return _candidates_on(n, self._tags)
 
     def __repr__(self):
         return f"EnumeratorSource(max_n={self.max_n}, tags={sorted(self._tags)})"

@@ -259,6 +259,8 @@ def test_key_equality_and_hash_follow_the_fields():
         assert hash(key) == hash((key.n, key.r, key.masks, key.odd_auto))
         twin = CanonicalKey(key.n, key.r, key.masks, key.odd_auto)
         assert twin == key and twin is not key
+        # taken once, at construction
+        assert twin._hash == hash(twin) == hash((key.n, key.r, key.masks, key.odd_auto))
         assert CanonicalKey(key.n, key.r, key.masks, not key.odd_auto) != key
         assert key != (key.n, key.r, key.masks, key.odd_auto)
 

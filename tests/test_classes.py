@@ -5,8 +5,8 @@ from fractions import Fraction
 
 from matroidc.canonical import canonical_key, perm_sign, relabel
 from matroidc.classes import ClassVector, normalize
-from matroidc.complexes import ALL, chain_basis
-from matroidc.enumerate import MatroidSource, enumerate_all
+from matroidc.complexes import ALL, ComplexSpec, chain_basis
+from matroidc.enumerate import EnumeratorSource, MatroidSource, enumerate_all
 from matroidc.matroid import EMPTY, Graph, complete_graph, graphic, uniform
 
 
@@ -104,6 +104,22 @@ def test_chain_basis_searches_only_records_without_clones(monkeypatch):
     # each record without a clone pair is searched once, and no other
     ungated = [(m.n, m.r, m.bases) for n in range(7) for m in records[n] if not m.has_clone_pair()]
     assert sorted(searched) == sorted(ungated) != []
+
+
+def test_enumerator_chain_basis_searches_only_clone_free_candidates(monkeypatch):
+    # the enumerator's records at the top degree are its key-free extension
+    # candidates, so only those without a clone pair are searched
+    simple = ComplexSpec({"simple"})
+    src = EnumeratorSource(7, {"simple"})
+    records = src.records(7)
+    _clear_caches()
+    searched = _searches(monkeypatch)
+    basis = chain_basis(7, simple, src)
+    clone_free = [(m.n, m.r, m.bases) for m in records if not m.has_clone_pair()]
+    assert sorted(searched) == sorted(clone_free)
+    assert (len(clone_free), len(records)) == (21, 104)
+    reps = _Records({7: enumerate_all(7, {"simple"})})
+    assert basis.keys == chain_basis(7, simple, reps).keys != ()
 
 
 def test_vector_arithmetic():

@@ -576,12 +576,27 @@ def test_source_coverage_errors():
 def test_enumerator_source_declares_its_simple_and_loopless_tags():
     src = EnumeratorSource(tags={"simple", "binary", "connected"})
     assert src.tags() == {"simple"}
-    assert src.require(7) == enumerate_all(7, {"simple"})
+    keys = {canonical_key(m) for m in src.require(7)}
+    assert keys == {canonical_key(m) for m in enumerate_all(7, {"simple"})}
     assert EnumeratorSource().tags() == frozenset()
     # a coverage error says which enumerator it came from
     with pytest.raises(SourceIncomplete, match=r"max_n=7, tags=\['simple'\]\) does not cover"):
         src.require(8)
     assert repr(EnumeratorSource(6)) == "EnumeratorSource(max_n=6, tags=[])"
+
+
+@pytest.mark.parametrize("tags", RESTRICTIONS, ids=lambda t: "+".join(sorted(t)) or "none")
+def test_enumerator_records_hold_every_class_and_the_tags(tags):
+    # the records are the key-free candidates: a class may repeat, but none
+    # is missing and none lacks the tags
+    src = EnumeratorSource(7, tags)
+    for n in range(0, 8):
+        records = src.records(n)
+        assert {canonical_key(m) for m in records} == {
+            canonical_key(m) for m in enumerate_all(n, tags)
+        }, n
+        assert all(PROPERTY_TAGS[t](m) for t in tags for m in records)
+    assert src.records(0) == (EMPTY,)
 
 
 def test_exchange_backtracker_matches_bruteforce():
